@@ -72,8 +72,9 @@ def _read_split(data_dir, task, split):
     if not path.exists():
         raise FileNotFoundError(f"dataset not found: {path}")
     samples, file_task = sampler.read_dataset(path)
-    # empty files carry no per-sample task code
-    if samples and file_task != task:
+    if not samples:
+        raise ValueError(f"dataset {path} holds no samples")
+    if file_task != task:
         raise TaskArchMismatch(f"{path} holds task {file_task!r}, expected {task!r}")
     return samples
 

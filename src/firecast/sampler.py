@@ -11,6 +11,19 @@ distance threshold), negatives are drawn from the same day at a fixed
 ratio, and whole 7-day blocks are assigned to train/val/test with the
 last day of each block excluded so no two splits hold adjacent label
 days.
+
+WFDS dataset files are little-endian, with no padding:
+
+  file header, 13 bytes, struct "<4sBQ":
+    magic b"WFDS", version (u8, 1), sample count (u64)
+  then per sample a 24-byte header, struct "<BBBqIIBHH" (1+1+1+8+4+4+1+2+2):
+    kind (u8: 0 negative, 1 positive), task (u8: 0 daily, 1 aggregated,
+    2 sequence), split (u8: 0 train, 1 val, 2 test), feature date (i64,
+    days since 1970-01-01; the last frame's for sequences), origin row
+    (u32), origin col (u32), time steps T (u8, 1 unless sequence),
+    channels C (u16), tile side S (u16)
+  followed by T*C*S*S "<f4" features in (T,) C, S, S order and S*S int8
+  labels in {-1, 0, 1}, row-major.
 """
 
 from __future__ import annotations
@@ -31,6 +44,9 @@ DATASET_VERSION = 1
 
 _TASKS = ("daily", "aggregated", "sequence")
 _EPOCH = datetime.date(1970, 1, 1)
+
+# index entries gathered at once by find_fire_clusters (8 MB of intp)
+_GATHER_BLOCK = 1 << 20
 
 # fixed sub-stream tags so parallel and serial dataset builds agree
 _SPLIT_STREAM = 1
@@ -117,63 +133,84 @@ def find_fire_clusters(mask, geo: GeoTransform, merge_km: float,
     """Partition fire pixels (value 1) into single-linkage clusters.
 
     Two pixels share a cluster iff a chain of fire pixels connects them
-    with consecutive center distances <= merge_km. Output is ordered by
-    (min row, min col) of each cluster.
+    with consecutive center distances <= merge_km, so the clusters are the
+    connected components of the graph joining fire pixels at most
+    r = merge_km * 1000 / pixel_size pixels apart.
+
+    Algorithm: an index grid holds each fire pixel's number (row-major)
+    and -1 elsewhere. Every fire pixel gathers the grid at the K offsets
+    of the half disk dr^2 + dc^2 <= r^2 with dr > 0, or dr == 0 and
+    dc > 0, which lists each edge once. Components are then labelled by
+    min-label hooking with pointer jumping (Shiloach & Vishkin 1982), so
+    each pixel ends labelled with its cluster's first pixel.
+
+    Cost: O(P*K) time for P fire pixels and K offsets (K = 158 at 10 km
+    on 1 km pixels), whatever the fire density. Memory is the index grid
+    plus at most _GATHER_BLOCK gathered entries at a time. The hooking
+    rounds, O(log P) of them, touch only edges that still join two
+    components.
+
+    Order: clusters are sorted by (min row, min col) over their pixels;
+    ties go to the cluster whose first pixel in row-major order comes
+    first.
     """
     mask = np.asarray(mask)
     fire = np.argwhere(mask == 1)
     if len(fire) == 0:
         return []
+    n = len(fire)
+    rows, cols = fire[:, 0], fire[:, 1]
+    h, w = mask.shape
     radius_px = merge_km * 1000.0 / geo.pixel_size
     r2 = radius_px * radius_px
-    cell = max(radius_px, 1.0)
+    # reach one past floor(r) and let the r2 test decide; offsets beyond
+    # the grid join nothing
+    reach_r = min(int(radius_px) + 1, h - 1)
+    reach_c = min(int(radius_px) + 1, w - 1)
+    dr, dc = np.mgrid[0:reach_r + 1, -reach_c:reach_c + 1]
+    half_disk = (dr * dr + dc * dc <= r2) & ((dr > 0) | (dc > 0))
+    dr, dc = dr[half_disk], dc[half_disk]
 
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for idx, (r, c) in enumerate(fire):
-        buckets.setdefault((int(r // cell), int(c // cell)), []).append(idx)
+    index = np.full((h + reach_r, w + 2 * reach_c), -1, dtype=np.intp)
+    index[rows, cols + reach_c] = np.arange(n)
+    parent = np.arange(n)
+    block = max(1, _GATHER_BLOCK // max(len(dr), 1))
+    for start in range(0, n, block):
+        part = slice(start, start + block)
+        nbr = index[rows[part, None] + dr, cols[part, None] + reach_c + dc]
+        u, k = np.nonzero(nbr >= 0)
+        _hook(parent, u + start, nbr[u, k])
 
-    parent = list(range(len(fire)))
+    roots, label = np.unique(parent, return_inverse=True)
+    min_col = np.full(len(roots), w)
+    np.minimum.at(min_col, label, cols)
+    # a root is its cluster's first pixel, so it also holds the min row
+    order = np.lexsort((roots, min_col, rows[roots]))
+    members = np.argsort(label, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(label))))
+    pixels = list(zip(rows[members].tolist(), cols[members].tolist()))
+    return [FireCluster(frozenset(pixels[bounds[j]:bounds[j + 1]]), date)
+            for j in order.tolist()]
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
 
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-
-    def link(ai, bi):
-        d = fire[ai] - fire[bi]
-        if d[0] * d[0] + d[1] * d[1] <= r2:
-            union(ai, bi)
-
-    # candidate pairs only from the same or adjacent buckets (half
-    # neighborhood, so each bucket pair is visited once)
-    for (br, bc), members in buckets.items():
-        for x in range(len(members)):
-            for y in range(x + 1, len(members)):
-                link(members[x], members[y])
-        for dr, dc in ((0, 1), (1, -1), (1, 0), (1, 1)):
-            others = buckets.get((br + dr, bc + dc))
-            if not others:
-                continue
-            for ai in members:
-                for bi in others:
-                    link(ai, bi)
-
-    groups: dict[int, list[int]] = {}
-    for i in range(len(fire)):
-        groups.setdefault(find(i), []).append(i)
-    clusters = [
-        FireCluster(frozenset((int(fire[i][0]), int(fire[i][1])) for i in idxs), date)
-        for idxs in groups.values()
-    ]
-    clusters.sort(key=lambda cl: (min(p[0] for p in cl.pixels),
-                                  min(p[1] for p in cl.pixels)))
-    return clusters
+def _hook(parent, u, v):
+    """Merge the edges (u, v) into `parent`, a forest in which every node
+    points at its root, until each edge's ends share a root; every root
+    stays the smallest node of its tree."""
+    while True:
+        ru, rv = parent[u], parent[v]
+        cross = ru != rv
+        if not cross.any():
+            return
+        u, v, ru, rv = u[cross], v[cross], ru[cross], rv[cross]
+        # hook the larger root of each edge under the smaller one
+        np.minimum.at(parent, np.maximum(ru, rv), np.minimum(ru, rv))
+        # pointer jumping back to a forest of stars
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent[:] = grand
 
 
 # ---------------------------------------------------------------------------

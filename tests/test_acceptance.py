@@ -330,7 +330,7 @@ def independent_wfds_read(path):
     for _ in range(count):
         kind, task, split, days, orow, ocol, t_steps, ch, tile = \
             struct.unpack_from("<BBBqIIBHH", data, pos)
-        pos += 26
+        pos += 24
         feats = np.frombuffer(data, "<f4", t_steps * ch * tile * tile, pos)
         pos += feats.size * 4
         label = np.frombuffer(data, np.int8, tile * tile, pos)

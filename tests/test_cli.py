@@ -7,12 +7,14 @@ import pytest
 
 from firecast.cli import (
     EXIT_CONFIG,
+    EXIT_ERROR,
     EXIT_MISMATCH,
     EXIT_MISSING,
     EXIT_OK,
     main,
 )
 from firecast.config import ConfigError, load_config
+from firecast.sampler import write_dataset
 
 
 SMALL_CONFIG = """
@@ -161,6 +163,17 @@ def test_eval_missing_checkpoint(tmp_path):
     run_cli("synth", "--config", path)
     run_cli("build-dataset", "--config", path)
     assert run_cli("eval", "--config", path) == EXIT_MISSING
+
+
+@pytest.mark.parametrize("verb", ["eval", "predict"])
+def test_empty_test_split_rejected(tmp_path, capsys, verb):
+    path, out = write_config(tmp_path)
+    out.mkdir()
+    empty = out / "daily_test.wfds"
+    write_dataset([], "daily", empty)
+    capsys.readouterr()
+    assert run_cli(verb, "--config", path) == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: dataset {empty} holds no samples\n"
 
 
 def test_sweep_writes_one_row_per_combination(tmp_path):

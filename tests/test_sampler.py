@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from firecast import sampler
 from firecast.raster import CHANNELS, GeoTransform, RasterStack
 from firecast.sampler import (
     FireCluster,
@@ -109,13 +110,59 @@ def test_pixel_size_scales_distance():
     assert len(find_fire_clusters(mask, GEO_1KM, 10.0)) == 1
 
 
-def test_clustering_matches_bfs_oracle_100_masks():
+# (shape, fire share, uncertain share, pixel size m, merge km): dense,
+# thin and non-square grids, uncertain pixels among the fire, non-integer
+# radii and radii below one pixel
+ORACLE_CASES = [
+    ((64, 64), 0.10, 0.0, 1000.0, 10.0),
+    ((32, 32), 0.40, 0.0, 1000.0, 10.0),
+    ((1, 200), 0.30, 0.2, 1000.0, 1.0),  # r = 1
+    ((7, 64), 0.25, 0.3, 1500.0, 10.0),  # r = 6.67
+    ((40, 24), 0.10, 0.1, 4000.0, 10.0),  # r = 2.5
+    ((32, 32), 0.40, 0.1, 250.0, 0.6),  # r = 2.4
+    ((24, 40), 0.40, 0.2, 250.0, 0.36),  # r = 1.44
+    ((16, 48), 0.40, 0.2, 1500.0, 1.2),  # r = 0.8
+    ((16, 16), 0.40, 0.0, 4000.0, 3.0),  # r = 0.75
+]
+
+
+def cluster_order_key(pixels):
+    """The documented order: (min row, min col), ties to the cluster whose
+    first pixel in row-major order comes first."""
+    return (min(r for r, _ in pixels), min(c for _, c in pixels), min(pixels))
+
+
+def oracle_inputs():
     for seed in range(100):
         rng = np.random.default_rng(seed)
-        mask = (rng.uniform(size=(64, 64)) < 0.02).astype(np.int8)
-        clusters = find_fire_clusters(mask, GEO_1KM, 10.0)
-        got = {c.pixels for c in clusters}
-        assert got == bfs_cluster_oracle(mask, 10.0)
+        yield (rng.uniform(size=(64, 64)) < 0.02).astype(np.int8), GEO_1KM, 10.0
+    for case, (shape, fire, uncertain, pixel_m, merge_km) in enumerate(ORACLE_CASES):
+        for seed in range(5):
+            u = np.random.default_rng([case, seed]).uniform(size=shape)
+            mask = np.where(u < fire, 1, np.where(u > 1.0 - uncertain, -1, 0))
+            yield mask.astype(np.int8), GeoTransform(0.0, 0.0, pixel_m), merge_km
+
+
+def test_clustering_matches_bfs_oracle_100_masks():
+    ties = 0
+    for mask, geo, merge_km in oracle_inputs():
+        got = [c.pixels for c in find_fire_clusters(mask, geo, merge_km)]
+        want = sorted(bfs_cluster_oracle(mask, merge_km * 1000.0 / geo.pixel_size),
+                      key=cluster_order_key)
+        assert got == want
+        keys = [cluster_order_key(p)[:2] for p in want]
+        ties += sum(a == b for a, b in zip(keys, keys[1:]))
+    assert ties > 0  # the tie-break was exercised
+
+    whole = find_fire_clusters(np.ones((96, 96), dtype=np.int8), GEO_1KM, 10.0)
+    assert len(whole) == 1 and len(whole[0].pixels) == 96 * 96
+
+
+def test_clustering_in_gather_blocks_gives_the_same_clusters(monkeypatch):
+    cases = list(oracle_inputs())[100::5]  # one mask per ORACLE_CASES row
+    whole = [find_fire_clusters(*case) for case in cases]
+    monkeypatch.setattr(sampler, "_GATHER_BLOCK", 50)
+    assert [find_fire_clusters(*case) for case in cases] == whole
 
 
 def test_cluster_partition_covers_all_fire_pixels():
