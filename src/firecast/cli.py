@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, nn, raster, sampler, synth, training
-from .config import ConfigError, RunConfig, apply_sweep_point, load_config
-from .models import ModelConfig, build
+from .config import TASKS, ConfigError, RunConfig, apply_sweep_point, load_config
+from .models import ARCH_SPECS, CLI_NAMES, ModelConfig, build, resolve_arch
 from .sampler import SPLITS
 
 EXIT_OK = 0
@@ -31,21 +31,16 @@ EXIT_MISMATCH = 4
 
 _INIT_STREAM = 3
 
-IMAGE_ARCHS = ("autoencoder", "unet")
-SEQUENCE_ARCHS = ("ae_lstm", "unet_lstm")
-
 
 class TaskArchMismatch(Exception):
     """Sequence tasks need LSTM models and image tasks need image models."""
 
 
 def _check_task_arch(task, arch):
-    if task == "sequence" and arch not in SEQUENCE_ARCHS:
-        raise TaskArchMismatch(
-            f"task 'sequence' needs an LSTM model, got {arch!r}")
-    if task in ("daily", "aggregated") and arch not in IMAGE_ARCHS:
-        raise TaskArchMismatch(
-            f"task {task!r} needs an image model, got {arch!r}")
+    wants_sequence = task == "sequence"
+    if ARCH_SPECS[arch].is_sequence != wants_sequence:
+        kind = "an LSTM" if wants_sequence else "an image"
+        raise TaskArchMismatch(f"task {task!r} needs {kind} model, got {arch!r}")
 
 
 def _scenes_dir(cfg, out):
@@ -93,6 +88,15 @@ def _model_from_checkpoint(path):
     model = build(cfg, np.random.default_rng(0))
     model.load_params(nn.load_checkpoint(path))
     return model
+
+
+def _load_test(cfg: RunConfig, out: Path):
+    """The test split and the checkpoint's model, checked against the task."""
+    test_data = _read_split(_data_dir(cfg, out), cfg.task, "test")
+    ckpt = Path(cfg.run["checkpoint"]) if cfg.run["checkpoint"] else out / "checkpoint.wfck"
+    model = _model_from_checkpoint(ckpt)
+    _check_task_arch(cfg.task, model.config.arch)
+    return test_data, model
 
 
 def cmd_synth(cfg: RunConfig, out: Path) -> int:
@@ -178,17 +182,10 @@ def cmd_train(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_eval(cfg: RunConfig, out: Path) -> int:
-    data_dir = _data_dir(cfg, out)
-    test_data = _read_split(data_dir, cfg.task, "test")
-    ckpt = Path(cfg.run["checkpoint"]) if cfg.run["checkpoint"] else out / "checkpoint.wfck"
-    model = _model_from_checkpoint(ckpt)
-    _check_task_arch(cfg.task, model.config.arch)
+    test_data, model = _load_test(cfg, out)
     result = metrics.evaluate(model, test_data, threshold=cfg.run["threshold"])
     out.mkdir(parents=True, exist_ok=True)
     metrics.write_eval_csv(result, out / "metrics.csv")
-    if cfg.run["write_maps"]:
-        metrics.write_probability_maps(model, test_data[:cfg.run["max_maps"]],
-                                       out / "maps", threshold=cfg.run["threshold"])
     print(f"eval[{cfg.task}]: auc={result.auc:.4f} precision={result.precision:.4f} "
           f"recall={result.recall:.4f} iou={result.iou:.4f} "
           f"mean_iou={result.mean_iou:.4f} n_valid={result.n_valid}")
@@ -196,15 +193,10 @@ def cmd_eval(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_predict(cfg: RunConfig, out: Path) -> int:
-    data_dir = _data_dir(cfg, out)
-    test_data = _read_split(data_dir, cfg.task, "test")
-    ckpt = Path(cfg.run["checkpoint"]) if cfg.run["checkpoint"] else out / "checkpoint.wfck"
-    model = _model_from_checkpoint(ckpt)
-    _check_task_arch(cfg.task, model.config.arch)
+    test_data, model = _load_test(cfg, out)
     maps_dir = out / "maps"
     written = metrics.write_probability_maps(
-        model, test_data[:cfg.run["max_maps"]], maps_dir,
-        threshold=cfg.run["threshold"])
+        model, test_data[:cfg.run["max_maps"]], maps_dir)
     print(f"predict[{cfg.task}]: wrote {len(written)} map pairs to {maps_dir}")
     return EXIT_OK
 
@@ -256,10 +248,8 @@ def make_parser():
         p.add_argument("--seed", type=int, default=None,
                        help="override every rng seed in the config")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--task", default=None,
-                       choices=["daily", "aggregated", "sequence"])
-        p.add_argument("--model", default=None,
-                       choices=["ae", "unet", "ae-lstm", "unet-lstm"])
+        p.add_argument("--task", default=None, choices=TASKS)
+        p.add_argument("--model", default=None, choices=CLI_NAMES)
         p.add_argument("--threshold", type=float, default=None)
     return parser
 
@@ -271,8 +261,7 @@ def main(argv=None) -> int:
         if args.task:
             cfg.run["task"] = args.task
         if args.model:
-            cfg.run["arch"] = {"ae": "autoencoder", "unet": "unet",
-                               "ae-lstm": "ae_lstm", "unet-lstm": "unet_lstm"}[args.model]
+            cfg.run["arch"] = resolve_arch(args.model)
         if args.out:
             cfg.run["out"] = args.out
         if args.threshold is not None:

@@ -11,7 +11,6 @@ Example:
     tile_size = 32
 
     [model]
-    arch = unet
     filter_scheme = 8, 16, 32
 
     [train]
@@ -22,7 +21,9 @@ Example:
     train.positive_weight = 1, 3
 
 Environment variables override file values as WF_<SECTION>_<KEY>, e.g.
-WF_TRAIN_EPOCHS=5. Unknown sections or keys are rejected.
+WF_TRAIN_EPOCHS=5. Unknown sections or keys are rejected. [model] arch
+takes an architecture's name or its CLI spelling, as listed in
+models.ARCH_SPECS.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import configparser
 import os
 from dataclasses import dataclass, field, replace
 
-from .models import ModelConfig
+from .models import ModelConfig, resolve_arch
 from .sampler import SamplerConfig
 from .synth import SynthConfig
 from .training import TrainConfig
@@ -40,36 +41,9 @@ ENV_PREFIX = "WF_"
 
 TASKS = ("daily", "aggregated", "sequence")
 
-ARCH_ALIASES = {
-    "ae": "autoencoder",
-    "autoencoder": "autoencoder",
-    "unet": "unet",
-    "ae-lstm": "ae_lstm",
-    "ae_lstm": "ae_lstm",
-    "unet-lstm": "unet_lstm",
-    "unet_lstm": "unet_lstm",
-}
-
 
 class ConfigError(ValueError):
     """Schema violation in a run configuration."""
-
-
-def _parse_int(raw):
-    return int(raw)
-
-
-def _parse_float(raw):
-    return float(raw)
-
-
-def _parse_bool(raw):
-    lowered = raw.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
 
 
 def _parse_str(raw):
@@ -84,10 +58,7 @@ def _parse_task(raw):
 
 
 def _parse_arch(raw):
-    value = raw.strip().lower()
-    if value not in ARCH_ALIASES:
-        raise ValueError(f"model must be one of {sorted(set(ARCH_ALIASES))}")
-    return ARCH_ALIASES[value]
+    return resolve_arch(raw.strip().lower())
 
 
 def _parse_ints(raw):
@@ -105,44 +76,43 @@ _SCHEMA = {
         "stacks": _parse_str,
         "data": _parse_str,
         "checkpoint": _parse_str,
-        "threshold": _parse_float,
-        "write_maps": _parse_bool,
-        "max_maps": _parse_int,
+        "threshold": float,
+        "max_maps": int,
     },
     "sampler": {
-        "tile_size": _parse_int,
-        "cluster_merge_distance": _parse_float,
-        "negative_ratio": _parse_float,
+        "tile_size": int,
+        "cluster_merge_distance": float,
+        "negative_ratio": float,
         "split_ratio": _parse_floats,
-        "buffer_days": _parse_int,
-        "aggregation_window": _parse_int,
-        "rng_seed": _parse_int,
+        "buffer_days": int,
+        "aggregation_window": int,
+        "rng_seed": int,
     },
     "model": {
         "arch": _parse_arch,
         "filter_scheme": _parse_ints,
-        "lstm_hidden": _parse_int,
-        "init_seed": _parse_int,
+        "lstm_hidden": int,
+        "init_seed": int,
     },
     "train": {
-        "epochs": _parse_int,
-        "batch_size": _parse_int,
-        "learning_rate": _parse_float,
-        "positive_weight": _parse_float,
-        "adam_beta1": _parse_float,
-        "adam_beta2": _parse_float,
-        "adam_eps": _parse_float,
-        "rng_seed": _parse_int,
-        "eval_every": _parse_int,
+        "epochs": int,
+        "batch_size": int,
+        "learning_rate": float,
+        "positive_weight": float,
+        "adam_beta1": float,
+        "adam_beta2": float,
+        "adam_eps": float,
+        "rng_seed": int,
+        "eval_every": int,
     },
     "synth": {
         "grid": _parse_ints,
-        "days": _parse_int,
-        "smoothing_radius": _parse_int,
+        "days": int,
+        "smoothing_radius": int,
         "fire_logit_weights": _parse_floats,
-        "fire_bias": _parse_float,
-        "uncertain_fraction": _parse_float,
-        "rng_seed": _parse_int,
+        "fire_bias": float,
+        "uncertain_fraction": float,
+        "rng_seed": int,
     },
 }
 
@@ -153,7 +123,6 @@ _RUN_DEFAULTS = {
     "data": None,
     "checkpoint": None,
     "threshold": 0.5,
-    "write_maps": False,
     "max_maps": 16,
     "arch": "autoencoder",
     "filter_scheme": (64, 128, 256, 256),

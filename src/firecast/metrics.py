@@ -131,7 +131,7 @@ def summarize(scores, labels, threshold: float = 0.5) -> EvalResult:
     )
 
 
-def predict_pixels(model, samples, batch_size: int = 32, last_frame_only=False):
+def predict_pixels(model, samples, batch_size: int = 32):
     """Run the model over a dataset; returns (probabilities, labels) pooled
     over every pixel, uncertain ones included (callers filter)."""
     if not samples:
@@ -142,28 +142,16 @@ def predict_pixels(model, samples, batch_size: int = 32, last_frame_only=False):
         for lo in range(0, len(samples), batch_size):
             chunk = samples[lo:lo + batch_size]
             x = np.stack([s.features for s in chunk]).astype(np.float64)
-            if last_frame_only and x.ndim == 5:
-                x = x[:, -1]
             logits = model.forward(x).data[:, 0]
-            probs.append(_stable_sigmoid(logits).ravel())
+            probs.append(nn.stable_sigmoid(logits).ravel())
             labels.append(np.stack([s.label for s in chunk]).ravel())
     return np.concatenate(probs), np.concatenate(labels)
 
 
-def evaluate(model, samples, threshold: float = 0.5,
-             last_frame_only=False) -> EvalResult:
+def evaluate(model, samples, threshold: float = 0.5) -> EvalResult:
     """Pool all valid pixels of a dataset through the model and summarize."""
-    probs, labels = predict_pixels(model, samples, last_frame_only=last_frame_only)
+    probs, labels = predict_pixels(model, samples)
     return summarize(probs, labels, threshold)
-
-
-def _stable_sigmoid(z):
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 def write_eval_csv(result: EvalResult, path) -> None:
@@ -184,7 +172,7 @@ def write_pgm(plane, path) -> None:
         f.write(data.tobytes())
 
 
-def write_probability_maps(model, samples, out_dir, threshold: float = 0.5) -> list:
+def write_probability_maps(model, samples, out_dir) -> list:
     """Per-tile probability + label PGM pairs (segmentation figures analogue)."""
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -194,7 +182,7 @@ def write_probability_maps(model, samples, out_dir, threshold: float = 0.5) -> l
             logits = model.forward(x).data[0, 0]
             prob_path = out_dir / f"prob_{i:04d}.pgm"
             label_path = out_dir / f"label_{i:04d}.pgm"
-            write_pgm(_stable_sigmoid(logits), prob_path)
+            write_pgm(nn.stable_sigmoid(logits), prob_path)
             write_pgm(np.asarray(s.label, dtype=np.float64), label_path)
             written.append((prob_path, label_path))
     return written

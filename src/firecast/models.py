@@ -1,4 +1,11 @@
-"""Builders for the four segmentation architectures.
+"""The four segmentation architectures: their registry and their builder.
+
+ARCH_SPECS is the only table of architectures. It maps each canonical name
+(as ModelConfig and checkpoints store it) to its `--model` spelling and two
+traits: is_sequence, the model reads [T,C,H,W] frames through a ConvLSTM
+instead of one [C,H,W] image, and is_unet, its decoder concatenates encoder
+skips. Config parsing and the CLI's `--model` choices and task check read
+it; resolve_arch maps either spelling to the canonical name.
 
 All four share the same residual encoder/decoder skeleton parameterized by
 a per-level filter scheme. The autoencoder pools after one residual block
@@ -17,15 +24,38 @@ see expected_param_count, which tests pin against the built models.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
 from .nn import Tensor
 
-ARCHS = ("autoencoder", "unet", "ae_lstm", "unet_lstm")
-SEQUENCE_ARCHS = ("ae_lstm", "unet_lstm")
+
+@dataclass(frozen=True)
+class ArchSpec:
+    cli_name: str  # the `--model` spelling
+    is_sequence: bool  # reads a frame sequence through a ConvLSTM
+    is_unet: bool  # decoder levels concatenate encoder skips
+
+
+ARCH_SPECS = {
+    "autoencoder": ArchSpec("ae", is_sequence=False, is_unet=False),
+    "unet": ArchSpec("unet", is_sequence=False, is_unet=True),
+    "ae_lstm": ArchSpec("ae-lstm", is_sequence=True, is_unet=False),
+    "unet_lstm": ArchSpec("unet-lstm", is_sequence=True, is_unet=True),
+}
+ARCHS = tuple(ARCH_SPECS)
+CLI_NAMES = tuple(spec.cli_name for spec in ARCH_SPECS.values())
+_SPELLINGS = {spelling: name for name, spec in ARCH_SPECS.items()
+              for spelling in (name, spec.cli_name)}
+
+
+def resolve_arch(spelling: str) -> str:
+    """The canonical name for an architecture's name or CLI spelling."""
+    if spelling not in _SPELLINGS:
+        raise ValueError(f"model must be one of {sorted(_SPELLINGS)}")
+    return _SPELLINGS[spelling]
 
 
 @dataclass(frozen=True)
@@ -48,7 +78,11 @@ class ModelConfig:
 
     @property
     def is_sequence(self):
-        return self.arch in SEQUENCE_ARCHS
+        return ARCH_SPECS[self.arch].is_sequence
+
+    @property
+    def is_unet(self):
+        return ARCH_SPECS[self.arch].is_unet
 
     @property
     def hidden(self):
@@ -94,10 +128,6 @@ class ResidualBlock:
         return out
 
 
-def residual_block(x: Tensor, block: ResidualBlock) -> Tensor:
-    return block(x)
-
-
 class Model:
     def __init__(self, config: ModelConfig, rng):
         self.config = config
@@ -117,11 +147,10 @@ class Model:
         else:
             self.lstm = None
 
-        unet = config.arch in ("unet", "unet_lstm")
         self.dec = []
         for j in range(levels):
             out_f = scheme[levels - 1 - j]
-            skip_ch = scheme[levels - 1 - j] if unet else 0
+            skip_ch = scheme[levels - 1 - j] if config.is_unet else 0
             self.dec.append(ResidualBlock(ch + skip_ch, out_f, rng))
             ch = out_f
         self.head = Conv(ch, 1, 1, rng)
@@ -158,10 +187,9 @@ class Model:
         return x, skips
 
     def _decode(self, x, skips):
-        unet = self.config.arch in ("unet", "unet_lstm")
         for j, block in enumerate(self.dec):
             x = nn.upsample2(x)
-            if unet:
+            if self.config.is_unet:
                 x = nn.concat_channels([x, skips[len(skips) - 1 - j]])
             x = block(x)
         return self.head(x)
@@ -199,10 +227,6 @@ def build(config: ModelConfig, rng) -> Model:
     return Model(config, rng)
 
 
-def forward(model: Model, x) -> Tensor:
-    return model.forward(x)
-
-
 def expected_param_count(config: ModelConfig) -> int:
     """Closed-form parameter count; the documented contract for each arch."""
 
@@ -217,7 +241,6 @@ def expected_param_count(config: ModelConfig) -> int:
 
     scheme = config.filter_scheme
     levels = len(scheme)
-    unet = config.arch in ("unet", "unet_lstm")
     total = 0
     ch = config.in_channels
     for f in scheme:
@@ -228,7 +251,7 @@ def expected_param_count(config: ModelConfig) -> int:
         ch = config.hidden
     for j in range(levels):
         out_f = scheme[levels - 1 - j]
-        skip = scheme[levels - 1 - j] if unet else 0
+        skip = scheme[levels - 1 - j] if config.is_unet else 0
         total += block(ch + skip, out_f)
         ch = out_f
     return total + conv(1, ch, 1)

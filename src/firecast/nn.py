@@ -55,9 +55,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def zero_grad(self):
-        self.grad = None
-
 
 def _tracked(*tensors):
     return _grad_enabled and any(t.requires_grad or t._parents for t in tensors)
@@ -77,39 +74,29 @@ def _accumulate(t, g):
     t.grad = g if t.grad is None else t.grad + g
 
 
-class Tape:
-    """Topologically ordered record of the ops that produced a root tensor."""
-
-    def __init__(self, root: Tensor):
-        order = []
-        seen = set()
-        stack = [(root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in seen:
-                    stack.append((p, False))
-        self.nodes = order  # parents before children
-
-    def replay_backward(self):
-        for node in reversed(self.nodes):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-
-
 def backward(loss: Tensor) -> None:
     """Populate .grad for every requires_grad tensor reachable from loss."""
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
     loss.grad = np.ones_like(loss.data)
-    Tape(loss).replay_backward()
+    order = []  # parents before children
+    seen = set()
+    stack = [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in seen:
+                stack.append((p, False))
+    for node in reversed(order):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +142,7 @@ def relu(x: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    y = _sigmoid_raw(x.data)
+    y = stable_sigmoid(x.data)
 
     def back(g):
         _accumulate(x, g * y * (1.0 - y))
@@ -218,7 +205,9 @@ def slice_time(x: Tensor, t: int) -> Tensor:
     return _make(x.data[:, t], (x,), back)
 
 
-def _sigmoid_raw(z):
+def stable_sigmoid(z):
+    """Elementwise logistic function on an ndarray, with no overflow: exp
+    only ever sees non-positive arguments."""
     out = np.empty_like(z, dtype=np.float64)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))

@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .raster import GeoTransform, RasterStack
+from .raster import _EPOCH, GeoTransform, RasterStack
 
 BLOCK_DAYS = 7
 SPLITS = ("train", "val", "test")
@@ -43,7 +43,6 @@ DATASET_MAGIC = b"WFDS"
 DATASET_VERSION = 1
 
 _TASKS = ("daily", "aggregated", "sequence")
-_EPOCH = datetime.date(1970, 1, 1)
 
 # index entries gathered at once by find_fire_clusters (8 MB of intp)
 _GATHER_BLOCK = 1 << 20
@@ -112,6 +111,14 @@ class SequenceSample:
     @property
     def date(self):
         return self.dates[-1]
+
+
+def last_frame(samples) -> list[TileSample]:
+    """Each SequenceSample's final frame as a TileSample sharing its
+    arrays, so an image model reads the same tiles a sequence model does."""
+    return [TileSample(features=s.features[-1], label=s.label, date=s.date,
+                       origin=s.origin, split=s.split, kind=s.kind)
+            for s in samples]
 
 
 @dataclass(frozen=True)
@@ -405,12 +412,14 @@ def split_subsets(samples):
 _FILE_HEADER = struct.Struct("<4sBQ")
 _SAMPLE_HEADER = struct.Struct("<BBBqIIBHH")
 
-_KIND_CODE = {"negative": 0, "positive": 1}
-_TASK_CODE = {"daily": 0, "aggregated": 1, "sequence": 2}
-_SPLIT_CODE = {"train": 0, "val": 1, "test": 2}
-_KIND_NAME = {v: k for k, v in _KIND_CODE.items()}
-_TASK_NAME = {v: k for k, v in _TASK_CODE.items()}
-_SPLIT_NAME = {v: k for k, v in _SPLIT_CODE.items()}
+# a WFDS kind, task or split code is the name's index in _KINDS, _TASKS, SPLITS
+_KINDS = ("negative", "positive")
+
+
+def _decode(path, field, names, code):
+    if code >= len(names):
+        raise ValueError(f"{path}: unknown {field} code {code}")
+    return names[code]
 
 
 def write_dataset(samples, task: str, path) -> None:
@@ -424,7 +433,7 @@ def write_dataset(samples, task: str, path) -> None:
         else:
             t_steps, channels, tile = feats.shape[:3]
         parts.append(_SAMPLE_HEADER.pack(
-            _KIND_CODE[s.kind], _TASK_CODE[task], _SPLIT_CODE[s.split],
+            _KINDS.index(s.kind), _TASKS.index(task), SPLITS.index(s.split),
             (s.date - _EPOCH).days, s.origin[0], s.origin[1],
             t_steps, channels, tile))
         parts.append(feats.tobytes())
@@ -451,7 +460,9 @@ def read_dataset(path):
         kind, task_code, split, days, orow, ocol, t_steps, channels, tile = \
             _SAMPLE_HEADER.unpack_from(data, pos)
         pos += _SAMPLE_HEADER.size
-        task = _TASK_NAME[task_code]
+        task = _decode(path, "task", _TASKS, task_code)
+        kind = _decode(path, "kind", _KINDS, kind)
+        split = _decode(path, "split", SPLITS, split)
         n_feat = t_steps * channels * tile * tile
         if pos + n_feat * 4 + tile * tile > len(data):
             raise ValueError(f"{path}: truncated sample payload")
@@ -467,10 +478,9 @@ def read_dataset(path):
                 label=label,
                 dates=tuple(date - datetime.timedelta(days=t_steps - 1 - k)
                             for k in range(t_steps)),
-                origin=(orow, ocol), split=_SPLIT_NAME[split], kind=_KIND_NAME[kind]))
+                origin=(orow, ocol), split=split, kind=kind))
         else:
             samples.append(TileSample(
                 features=feats.reshape(channels, tile, tile).copy(),
-                label=label, date=date, origin=(orow, ocol),
-                split=_SPLIT_NAME[split], kind=_KIND_NAME[kind]))
+                label=label, date=date, origin=(orow, ocol), split=split, kind=kind))
     return samples, task

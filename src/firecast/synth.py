@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .nn import stable_sigmoid
 from .raster import CHANNELS, GeoTransform, RasterStack
 
 DAILY_RHO = 0.7
@@ -106,7 +107,7 @@ def gen_scenes(cfg: SynthConfig) -> list[RasterStack]:
             else:
                 evolving[j] = DAILY_RHO * evolving[j] + innovation_scale * fresh
         channels = np.concatenate([elevation[None], evolving])
-        prob = _sigmoid(fire_logit(channels, cfg))
+        prob = stable_sigmoid(fire_logit(channels, cfg))
         fire_rng = np.random.default_rng([seed, _FIRE, day])
         mask = (fire_rng.uniform(size=(h, w)) < prob).astype(np.int8)
         if cfg.uncertain_fraction > 0:
@@ -121,12 +122,3 @@ def gen_scenes(cfg: SynthConfig) -> list[RasterStack]:
             geo=geo,
         ))
     return stacks
-
-
-def _sigmoid(z):
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out

@@ -61,7 +61,7 @@ def weighted_bce(logits: Tensor, labels, w_pos: float) -> Tensor:
     value = per_pixel.sum() / n_valid
 
     def back(g):
-        s = metrics._stable_sigmoid(z)
+        s = nn.stable_sigmoid(z)
         dz = weight * (s - y) * (float(g) / n_valid)
         _shape = logits.data.shape
         nn._accumulate(logits, dz.reshape(_shape))
@@ -127,13 +127,9 @@ def _collate(samples):
     return x, y
 
 
-def train(model, train_data, val_data, cfg: TrainConfig,
-          last_frame_only=False) -> TrainReport:
+def train(model, train_data, val_data, cfg: TrainConfig) -> TrainReport:
     """Seeded minibatch loop keeping the checkpoint with the best
-    validation AUC (strictly-greater, so ties keep the earliest epoch).
-
-    last_frame_only feeds sequence samples' final frame to an image model.
-    """
+    validation AUC (strictly-greater, so ties keep the earliest epoch)."""
     if not train_data or not val_data:
         raise ValueError("train and validation datasets must be nonempty")
     rng = np.random.default_rng(cfg.rng_seed)
@@ -147,8 +143,6 @@ def train(model, train_data, val_data, cfg: TrainConfig,
         for lo in range(0, len(order), cfg.batch_size):
             batch = [train_data[i] for i in order[lo:lo + cfg.batch_size]]
             x, y = _collate(batch)
-            if last_frame_only and x.ndim == 5:
-                x = x[:, -1]
             logits = model.forward(x)
             loss = weighted_bce(logits, y, cfg.positive_weight)
             for p in params.values():
@@ -160,8 +154,7 @@ def train(model, train_data, val_data, cfg: TrainConfig,
         val_auc = None
         is_best = False
         if epoch % cfg.eval_every == 0:
-            probs, labels = metrics.predict_pixels(
-                model, val_data, last_frame_only=last_frame_only)
+            probs, labels = metrics.predict_pixels(model, val_data)
             keep = labels != -1
             val_auc = metrics.roc_auc(probs[keep], labels[keep])
             if val_auc > report.best_val_auc:

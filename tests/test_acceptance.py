@@ -25,6 +25,7 @@ from firecast.sampler import (
     aggregate_masks,
     build_dataset,
     find_fire_clusters,
+    last_frame,
     split_subsets,
 )
 from firecast.synth import SynthConfig, fire_logit, gen_scenes
@@ -480,10 +481,10 @@ def test_criterion_6_sequence_vs_static():
 
         static = build(ModelConfig("autoencoder", (8, 16), tile=16),
                        np.random.default_rng([seed, 3]))
-        rep = train(static, subsets["train"], subsets["val"], tcfg,
-                    last_frame_only=True)
+        rep = train(static, last_frame(subsets["train"]), last_frame(subsets["val"]),
+                    tcfg)
         static.load_params(rep.best_params)
-        auc_static = evaluate(static, subsets["test"], last_frame_only=True).auc
+        auc_static = evaluate(static, last_frame(subsets["test"])).auc
 
         wins += auc_lstm >= auc_static
         details.append(f"seed {seed}: {auc_lstm:.3f} vs {auc_static:.3f}")

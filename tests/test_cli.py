@@ -5,12 +5,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from firecast import cli
 from firecast.cli import (
     EXIT_CONFIG,
     EXIT_ERROR,
     EXIT_MISMATCH,
     EXIT_MISSING,
     EXIT_OK,
+    TaskArchMismatch,
+    _check_task_arch,
     main,
 )
 from firecast.config import ConfigError, load_config
@@ -94,6 +97,58 @@ def test_env_override_bad_value(tmp_path):
     path, _ = write_config(tmp_path)
     with pytest.raises(ConfigError):
         load_config(path, env={"WF_TRAIN_EPOCHS": "many"})
+
+
+# every spelling `arch =` accepts, with the architecture it names
+ARCH_SPELLINGS = [
+    ("ae", "autoencoder"),
+    ("autoencoder", "autoencoder"),
+    ("unet", "unet"),
+    ("ae-lstm", "ae_lstm"),
+    ("ae_lstm", "ae_lstm"),
+    ("unet-lstm", "unet_lstm"),
+    ("unet_lstm", "unet_lstm"),
+]
+MODEL_FLAG_SPELLINGS = ("ae", "unet", "ae-lstm", "unet-lstm")
+
+
+@pytest.mark.parametrize("spelling, arch", ARCH_SPELLINGS)
+def test_arch_spellings_resolve(tmp_path, monkeypatch, spelling, arch):
+    other = "unet" if arch == "autoencoder" else "autoencoder"
+    named = tmp_path / "named.cfg"
+    named.write_text(SMALL_CONFIG.format(out=tmp_path / "run")
+                     .replace("arch = ae\n", f"arch = {spelling}\n"))
+    assert load_config(named).arch == arch
+
+    base = tmp_path / "other.cfg"
+    base.write_text(SMALL_CONFIG.format(out=tmp_path / "run")
+                    .replace("arch = ae\n", f"arch = {other}\n"))
+    assert load_config(base).arch == other
+    assert load_config(base, env={"WF_MODEL_ARCH": spelling}).arch == arch
+
+    if spelling in MODEL_FLAG_SPELLINGS:
+        seen = []
+        monkeypatch.setitem(cli._VERBS, "train",
+                            lambda cfg, out: seen.append(cfg.arch) or EXIT_OK)
+        assert run_cli("train", "--config", base, "--model", spelling) == EXIT_OK
+        assert seen == [arch]
+
+
+def test_task_arch_check_grid():
+    matching = {("daily", "autoencoder"), ("daily", "unet"),
+                ("aggregated", "autoencoder"), ("aggregated", "unet"),
+                ("sequence", "ae_lstm"), ("sequence", "unet_lstm")}
+    passed = raised = 0
+    for task in ("daily", "aggregated", "sequence"):
+        for arch in ("autoencoder", "unet", "ae_lstm", "unet_lstm"):
+            if (task, arch) in matching:
+                _check_task_arch(task, arch)
+                passed += 1
+            else:
+                with pytest.raises(TaskArchMismatch):
+                    _check_task_arch(task, arch)
+                raised += 1
+    assert (passed, raised) == (6, 6)
 
 
 def test_seed_override_propagates(tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -173,6 +175,18 @@ def test_activation_values():
     assert nn.relu(Tensor([2.0])).data[0] == 2.0
     assert nn.sigmoid(Tensor([0.0])).data[0] == 0.5
     assert nn.tanh(Tensor([0.0])).data[0] == 0.0
+
+
+def test_stable_sigmoid_extreme_logits():
+    z = np.linspace(-60.0, 60.0, 2401)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ends = nn.stable_sigmoid(np.array([-1000.0, 0.0, 40.0, 1000.0]))
+        tiny = nn.stable_sigmoid(np.array([-40.0]))[0]
+        below, above = nn.stable_sigmoid(-z), nn.stable_sigmoid(z)
+    assert ends.tolist() == [0.0, 0.5, 1.0, 1.0]
+    assert 0.0 < tiny < 1e-17
+    assert np.abs(below - (1.0 - above)).max() <= 1e-15
 
 
 def test_concat_channel_arithmetic():

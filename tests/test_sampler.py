@@ -12,11 +12,13 @@ from firecast.sampler import (
     FireCluster,
     SamplerConfig,
     SamplingExhaustedError,
+    TileSample,
     aggregate_masks,
     assign_splits,
     build_dataset,
     extract_positive_tiles,
     find_fire_clusters,
+    last_frame,
     read_dataset,
     sample_negative_tiles,
     split_subsets,
@@ -501,6 +503,23 @@ def test_sequence_round_trip(tmp_path):
         np.testing.assert_array_equal(a.features, b.features)
 
 
+def test_last_frame_views_the_final_frame(tmp_path):
+    built = build_dataset(scene_series(16, seed=7), small_cfg(), "sequence")
+    p = tmp_path / "s.wfds"
+    write_dataset(built, "sequence", p)
+    for samples in (built, read_dataset(p)[0]):
+        views = last_frame(samples)
+        assert len(views) == len(samples)
+        for v, s in zip(views, samples):
+            assert isinstance(v, TileSample)
+            assert v.features.shape == s.features.shape[1:]
+            assert np.shares_memory(v.features, s.features[-1])
+            np.testing.assert_array_equal(v.features, s.features[-1])
+            assert v.label is s.label
+            assert (v.date, v.origin, v.split, v.kind) == \
+                (s.date, s.origin, s.split, s.kind)
+
+
 def test_split_subsets_partition():
     stacks = scene_series(15, seed=8)
     samples = build_dataset(stacks, small_cfg(), "daily")
@@ -513,3 +532,17 @@ def test_wfds_rejects_garbage(tmp_path):
     p.write_bytes(b"JUNKJUNKJUNKJUNK")
     with pytest.raises(ValueError):
         read_dataset(p)
+
+    # the kind, task and split bytes of the first sample header, out of range
+    tile = TileSample(features=np.zeros((2, 4, 4), np.float32),
+                      label=np.zeros((4, 4), np.int8), date=D0, origin=(0, 0),
+                      split="val", kind="positive")
+    write_dataset([tile], "daily", p)
+    good = p.read_bytes()
+    for offset, field, code in ((13, "kind", 7), (14, "task", 5), (15, "split", 9)):
+        bad = bytearray(good)
+        bad[offset] = code
+        p.write_bytes(bytes(bad))
+        with pytest.raises(ValueError) as exc:
+            read_dataset(p)
+        assert str(exc.value) == f"{p}: unknown {field} code {code}"
