@@ -6,6 +6,16 @@ recorded graph is the gradient tape. backward() linearizes the graph
 reaching the loss into topological order and replays it once in reverse,
 accumulating gradients additively, so using a tensor twice doubles its
 gradient contribution.
+
+WFCK parameter checkpoints (save_checkpoint, load_checkpoint) are
+little-endian, with no padding:
+
+    bytes 0-3   magic b"WFCK"
+    byte  4     version (u8, 1)
+    bytes 5-8   parameter count (u32)
+    then per parameter, in sorted name order, each name once:
+      name length (u16), UTF-8 name bytes, rank (u8), rank x dim (u32),
+      prod(dims) "<f8" values, row-major (one value at rank 0)
 """
 
 from __future__ import annotations
@@ -14,6 +24,8 @@ import struct
 from contextlib import contextmanager
 
 import numpy as np
+
+from .binio import FormatError, Reader
 
 
 class ShapeError(ValueError):
@@ -371,6 +383,8 @@ def he_uniform(rng, shape, fan_in):
 
 CKPT_MAGIC = b"WFCK"
 CKPT_VERSION = 1
+_COUNT = struct.Struct("<I")
+_NAME_LEN = struct.Struct("<H")
 
 
 def save_checkpoint(params: dict, path) -> None:
@@ -382,7 +396,7 @@ def save_checkpoint(params: dict, path) -> None:
         arr = np.ascontiguousarray(
             value.data if isinstance(value, Tensor) else value, dtype="<f8")
         raw = name.encode("utf-8")
-        parts.append(struct.pack("<H", len(raw)))
+        parts.append(_NAME_LEN.pack(len(raw)))
         parts.append(raw)
         parts.append(struct.pack("<B", arr.ndim))
         parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
@@ -393,26 +407,15 @@ def save_checkpoint(params: dict, path) -> None:
 
 def load_checkpoint(path) -> dict:
     """Returns name -> float64 ndarray."""
-    with open(path, "rb") as f:
-        data = f.read()
-    if len(data) < 9 or data[:4] != CKPT_MAGIC:
-        raise ValueError(f"{path}: not a WFCK checkpoint")
-    version, count = struct.unpack_from("<BI", data, 4)
-    if version != CKPT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    pos = 9
+    r = Reader(path, CKPT_MAGIC, CKPT_VERSION)
+    (count,) = r.unpack(_COUNT)
     out = {}
     for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", data, pos)
-        pos += 2
-        name = data[pos:pos + nlen].decode("utf-8")
-        pos += nlen
-        (rank,) = struct.unpack_from("<B", data, pos)
-        pos += 1
-        dims = struct.unpack_from(f"<{rank}I", data, pos)
-        pos += 4 * rank
-        size = int(np.prod(dims)) if rank else 1
-        arr = np.frombuffer(data, dtype="<f8", count=size, offset=pos).reshape(dims)
-        pos += 8 * size
-        out[name] = arr.astype(np.float64)
+        name = r.take(r.unpack(_NAME_LEN)[0]).decode("utf-8")
+        if name in out:
+            raise FormatError(f"{path}: parameter {name!r} appears twice")
+        rank = r.take(1)[0]
+        dims = r.unpack(struct.Struct(f"<{rank}I"))
+        out[name] = r.array("<f8", dims).astype(np.float64)
+    r.done()
     return out

@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .binio import EPOCH, FormatError, Reader
+
 MAGIC = b"WFRS"
 VERSION = 1
 
@@ -45,31 +47,14 @@ CHANNELS = (
     "erc",
 )
 
-_EPOCH = datetime.date(1970, 1, 1)
-_HEADER = struct.Struct("<4sBIIH")
+_DIMS = struct.Struct("<IIH")
 _TRAILER = struct.Struct("<qddd")
 
 # Reject absurd headers before allocating planes.
 _MAX_ELEMENTS = 2**31
 
 
-class RasterFormatError(Exception):
-    """Base class for WFRS parsing failures."""
-
-
-class MagicError(RasterFormatError):
-    """File does not start with the WFRS magic."""
-
-
-class VersionError(RasterFormatError):
-    """Unsupported WFRS version byte."""
-
-
-class TruncatedError(RasterFormatError):
-    """File ends before the declared payload."""
-
-
-class DimensionError(RasterFormatError):
+class DimensionError(FormatError):
     """Header declares empty or implausibly large planes."""
 
 
@@ -184,8 +169,8 @@ def compute_stats(stacks) -> ChannelStats:
 
 def write_stack(stack: RasterStack, path) -> None:
     """Serialize a stack to the WFRS layout documented in the module docstring."""
-    parts = [_HEADER.pack(MAGIC, VERSION, stack.height, stack.width,
-                          len(stack.channel_names))]
+    parts = [MAGIC, bytes((VERSION,)),
+             _DIMS.pack(stack.height, stack.width, len(stack.channel_names))]
     for name in stack.channel_names:
         raw = name.encode("utf-8")
         if len(raw) > 255:
@@ -195,7 +180,7 @@ def write_stack(stack: RasterStack, path) -> None:
     for plane in stack.channels:
         parts.append(np.ascontiguousarray(plane, dtype="<f4").tobytes())
     parts.append(np.ascontiguousarray(stack.fire_mask, dtype=np.int8).tobytes())
-    parts.append(_TRAILER.pack((stack.date - _EPOCH).days, stack.geo.origin_x,
+    parts.append(_TRAILER.pack((stack.date - EPOCH).days, stack.geo.origin_x,
                                stack.geo.origin_y, stack.geo.pixel_size))
     with open(path, "wb") as f:
         f.write(b"".join(parts))
@@ -203,49 +188,21 @@ def write_stack(stack: RasterStack, path) -> None:
 
 def read_stack(path) -> RasterStack:
     """Parse a WFRS file; inverse of write_stack, bit-exact on planes."""
-    with open(path, "rb") as f:
-        data = f.read()
-    if len(data) < _HEADER.size:
-        raise TruncatedError(f"{path}: file shorter than the fixed header")
-    magic, version, height, width, n_channels = _HEADER.unpack_from(data)
-    if magic != MAGIC:
-        raise MagicError(f"{path}: bad magic {magic!r}")
-    if version != VERSION:
-        raise VersionError(f"{path}: unsupported version {version}")
+    r = Reader(path, MAGIC, VERSION)
+    height, width, n_channels = r.unpack(_DIMS)
     if height == 0 or width == 0:
         raise DimensionError(f"{path}: empty plane {height}x{width}")
     if height * width * max(n_channels, 1) > _MAX_ELEMENTS:
         raise DimensionError(
             f"{path}: {n_channels} channels of {height}x{width} exceeds the element cap")
-
-    pos = _HEADER.size
-    names = []
-    for _ in range(n_channels):
-        if pos + 1 > len(data):
-            raise TruncatedError(f"{path}: truncated in channel name table")
-        (n,) = struct.unpack_from("<B", data, pos)
-        pos += 1
-        if pos + n > len(data):
-            raise TruncatedError(f"{path}: truncated channel name")
-        names.append(data[pos:pos + n].decode("utf-8"))
-        pos += n
-
-    plane = height * width
-    need = n_channels * plane * 4 + plane + _TRAILER.size
-    if pos + need > len(data):
-        raise TruncatedError(f"{path}: payload shorter than header declares")
-    channels = np.frombuffer(
-        data, dtype="<f4", count=n_channels * plane, offset=pos,
-    ).reshape(n_channels, height, width).copy()
-    pos += n_channels * plane * 4
-    fire_mask = np.frombuffer(
-        data, dtype=np.int8, count=plane, offset=pos,
-    ).reshape(height, width).copy()
-    pos += plane
-    days, ox, oy, ps = _TRAILER.unpack_from(data, pos)
+    names = tuple(r.take(r.take(1)[0]).decode("utf-8") for _ in range(n_channels))
+    channels = r.array("<f4", (n_channels, height, width)).copy()
+    fire_mask = r.array(np.int8, (height, width)).copy()
+    days, ox, oy, ps = r.unpack(_TRAILER)
+    r.done()
     return RasterStack(
-        date=_EPOCH + datetime.timedelta(days=days),
-        channel_names=tuple(names),
+        date=r.date(days),
+        channel_names=names,
         channels=channels,
         fire_mask=fire_mask,
         geo=GeoTransform(ox, oy, ps),

@@ -23,7 +23,8 @@ WFDS dataset files are little-endian, with no padding:
     (u32), origin col (u32), time steps T (u8, 1 unless sequence),
     channels C (u16), tile side S (u16)
   followed by T*C*S*S "<f4" features in (T,) C, S, S order and S*S int8
-  labels in {-1, 0, 1}, row-major.
+  labels in {-1, 0, 1}, row-major. All samples of a file share one task,
+  and a sequence sample has T >= 1.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .raster import _EPOCH, GeoTransform, RasterStack
+from .binio import EPOCH, FormatError, Reader
+from .raster import GeoTransform, RasterStack
 
 BLOCK_DAYS = 7
 SPLITS = ("train", "val", "test")
@@ -373,7 +375,7 @@ def build_dataset(stacks, cfg: SamplerConfig, task: str):
                              label_plane, stack.geo)
         pos = extract_positive_tiles(paired, clusters, cfg, split=split)
         neg_rng = np.random.default_rng(
-            [cfg.rng_seed, _NEGATIVE_STREAM, (stack.date - _EPOCH).days])
+            [cfg.rng_seed, _NEGATIVE_STREAM, (stack.date - EPOCH).days])
         neg = sample_negative_tiles(paired, len(pos), cfg, neg_rng, split=split)
 
         day_samples = pos + neg
@@ -409,22 +411,23 @@ def split_subsets(samples):
 # WFDS dataset files
 # ---------------------------------------------------------------------------
 
-_FILE_HEADER = struct.Struct("<4sBQ")
+_COUNT = struct.Struct("<Q")
 _SAMPLE_HEADER = struct.Struct("<BBBqIIBHH")
 
 # a WFDS kind, task or split code is the name's index in _KINDS, _TASKS, SPLITS
 _KINDS = ("negative", "positive")
+_LABEL_BYTES = np.array([-1, 0, 1], np.int8).tobytes()
 
 
 def _decode(path, field, names, code):
     if code >= len(names):
-        raise ValueError(f"{path}: unknown {field} code {code}")
+        raise FormatError(f"{path}: unknown {field} code {code}")
     return names[code]
 
 
 def write_dataset(samples, task: str, path) -> None:
     """Serialize samples; sequence features are [T,C,h,w], others [C,h,w]."""
-    parts = [_FILE_HEADER.pack(DATASET_MAGIC, DATASET_VERSION, len(samples))]
+    parts = [DATASET_MAGIC, bytes((DATASET_VERSION,)), _COUNT.pack(len(samples))]
     for s in samples:
         feats = np.ascontiguousarray(s.features, dtype="<f4")
         if feats.ndim == 3:
@@ -434,7 +437,7 @@ def write_dataset(samples, task: str, path) -> None:
             t_steps, channels, tile = feats.shape[:3]
         parts.append(_SAMPLE_HEADER.pack(
             _KINDS.index(s.kind), _TASKS.index(task), SPLITS.index(s.split),
-            (s.date - _EPOCH).days, s.origin[0], s.origin[1],
+            (s.date - EPOCH).days, s.origin[0], s.origin[1],
             t_steps, channels, tile))
         parts.append(feats.tobytes())
         parts.append(np.ascontiguousarray(s.label, dtype=np.int8).tobytes())
@@ -443,44 +446,35 @@ def write_dataset(samples, task: str, path) -> None:
 
 
 def read_dataset(path):
-    """Returns (samples, task)."""
-    with open(path, "rb") as f:
-        data = f.read()
-    if len(data) < _FILE_HEADER.size or data[:4] != DATASET_MAGIC:
-        raise ValueError(f"{path}: not a WFDS dataset file")
-    _, version, count = _FILE_HEADER.unpack_from(data)
-    if version != DATASET_VERSION:
-        raise ValueError(f"{path}: unsupported dataset version {version}")
-    pos = _FILE_HEADER.size
+    """Returns (samples, task); every sample must carry the same task."""
+    r = Reader(path, DATASET_MAGIC, DATASET_VERSION)
+    (count,) = r.unpack(_COUNT)
     samples = []
     task = None
-    for _ in range(count):
-        if pos + _SAMPLE_HEADER.size > len(data):
-            raise ValueError(f"{path}: truncated sample header")
+    for i in range(count):
         kind, task_code, split, days, orow, ocol, t_steps, channels, tile = \
-            _SAMPLE_HEADER.unpack_from(data, pos)
-        pos += _SAMPLE_HEADER.size
-        task = _decode(path, "task", _TASKS, task_code)
+            r.unpack(_SAMPLE_HEADER)
+        sample_task = _decode(path, "task", _TASKS, task_code)
         kind = _decode(path, "kind", _KINDS, kind)
         split = _decode(path, "split", SPLITS, split)
-        n_feat = t_steps * channels * tile * tile
-        if pos + n_feat * 4 + tile * tile > len(data):
-            raise ValueError(f"{path}: truncated sample payload")
-        feats = np.frombuffer(data, dtype="<f4", count=n_feat, offset=pos)
-        pos += n_feat * 4
-        label = np.frombuffer(data, dtype=np.int8, count=tile * tile, offset=pos)
-        pos += tile * tile
-        label = label.reshape(tile, tile).copy()
-        date = _EPOCH + datetime.timedelta(days=days)
+        if task not in (None, sample_task):
+            raise FormatError(
+                f"{path}: sample {i} has task {sample_task!r}, earlier samples {task!r}")
+        task = sample_task
+        if t_steps == 0 or (t_steps != 1 and task != "sequence"):
+            raise FormatError(f"{path}: sample {i} of task {task!r} has T = {t_steps}")
+        feats = r.array("<f4", (t_steps, channels, tile, tile)).copy()
+        label = r.array(np.int8, (tile, tile)).copy()
+        if label.tobytes().translate(None, _LABEL_BYTES):
+            raise FormatError(f"{path}: sample {i} has a label outside {{-1, 0, 1}}")
+        dates = tuple(r.date(days - k) for k in range(t_steps - 1, -1, -1))
         if task == "sequence":
             samples.append(SequenceSample(
-                features=feats.reshape(t_steps, channels, tile, tile).copy(),
-                label=label,
-                dates=tuple(date - datetime.timedelta(days=t_steps - 1 - k)
-                            for k in range(t_steps)),
+                features=feats, label=label, dates=dates,
                 origin=(orow, ocol), split=split, kind=kind))
         else:
             samples.append(TileSample(
-                features=feats.reshape(channels, tile, tile).copy(),
-                label=label, date=date, origin=(orow, ocol), split=split, kind=kind))
+                features=feats[0], label=label, date=dates[0],
+                origin=(orow, ocol), split=split, kind=kind))
+    r.done()
     return samples, task

@@ -1,0 +1,122 @@
+"""The shared binary reader, driven through all three container formats."""
+
+import datetime
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from firecast import nn
+from firecast.binio import FormatError, MagicError, TruncatedError, VersionError
+from firecast.raster import CHANNELS, GeoTransform, RasterStack, read_stack, write_stack
+from firecast.sampler import (
+    SPLITS,
+    SequenceSample,
+    TileSample,
+    read_dataset,
+    write_dataset,
+)
+
+
+def _date(rng):
+    return datetime.date(2000, 1, 1) + datetime.timedelta(days=int(rng.integers(0, 9000)))
+
+
+def _wfrs(rng, path):
+    h, w = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    n = int(rng.integers(0, 3))
+    stack = RasterStack(_date(rng), CHANNELS[:n],
+                        rng.normal(size=(n, h, w)).astype(np.float32),
+                        rng.integers(-1, 2, size=(h, w)).astype(np.int8),
+                        GeoTransform(float(rng.normal()), float(rng.normal()), 500.0))
+    write_stack(stack, path)
+    return lambda: read_stack(path) == stack
+
+
+def _wfds(rng, path):
+    task = ("daily", "aggregated", "sequence")[int(rng.integers(0, 3))]
+    t, c, s = int(rng.integers(1, 3)), int(rng.integers(1, 3)), int(rng.integers(1, 4))
+    samples = []
+    for _ in range(int(rng.integers(0, 3))):
+        meta = dict(label=rng.integers(-1, 2, size=(s, s)).astype(np.int8),
+                    origin=tuple(int(v) for v in rng.integers(0, 50, size=2)),
+                    split=SPLITS[int(rng.integers(0, 3))],
+                    kind=("negative", "positive")[int(rng.integers(0, 2))])
+        last = _date(rng)
+        if task == "sequence":
+            samples.append(SequenceSample(
+                features=rng.normal(size=(t, c, s, s)).astype(np.float32),
+                dates=tuple(last - datetime.timedelta(days=t - 1 - k) for k in range(t)),
+                **meta))
+        else:
+            samples.append(TileSample(
+                features=rng.normal(size=(c, s, s)).astype(np.float32), date=last, **meta))
+    write_dataset(samples, task, path)
+
+    def round_trip():
+        loaded, loaded_task = read_dataset(path)
+        return ((loaded_task == task or not samples) and len(loaded) == len(samples)
+                and all(a.date == b.date and a.origin == b.origin and a.split == b.split
+                        and a.kind == b.kind and np.array_equal(a.features, b.features)
+                        and np.array_equal(a.label, b.label)
+                        for a, b in zip(loaded, samples)))
+    return round_trip
+
+
+def _wfck(rng, path):
+    params = {}
+    for i in range(int(rng.integers(0, 4))):
+        shape = tuple(int(v) for v in rng.integers(0, 3, size=int(rng.integers(1, 4))))
+        params[f"layer{i}.w"] = rng.normal(size=shape)
+    nn.save_checkpoint(params, path)
+
+    def round_trip():
+        loaded = nn.load_checkpoint(path)
+        return set(loaded) == set(params) and all(
+            loaded[k].shape == v.shape and loaded[k].tobytes() == v.tobytes()
+            for k, v in params.items())
+    return round_trip
+
+
+# format -> (writes a valid file from rng, returns a round-trip check; reader)
+FORMATS = {
+    "wfrs": (_wfrs, read_stack),
+    "wfds": (_wfds, read_dataset),
+    "wfck": (_wfck, nn.load_checkpoint),
+}
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fmt=st.sampled_from(sorted(FORMATS)), seed=st.integers(0, 2**32 - 1),
+       padding=st.binary(min_size=1, max_size=16), xor=st.integers(1, 255))
+def test_cut_padded_and_flipped_files(tmp_path, fmt, seed, padding, xor):
+    """Every proper prefix and every padded copy of a valid file raises
+    TruncatedError; any one-byte flip reads back or raises a ValueError."""
+    assert issubclass(TruncatedError, FormatError) and issubclass(FormatError, ValueError)
+    make, read = FORMATS[fmt]
+    path = tmp_path / f"f.{fmt}"
+    assert make(np.random.default_rng(seed), path)()
+    good = path.read_bytes()
+
+    for n in range(len(good)):
+        path.write_bytes(good[:n])
+        with pytest.raises(TruncatedError):
+            read(path)
+    path.write_bytes(good + padding)
+    with pytest.raises(TruncatedError):
+        read(path)
+
+    for pos in range(len(good)):
+        bad = bytearray(good)
+        bad[pos] ^= xor
+        path.write_bytes(bytes(bad))
+        if pos < 5:
+            with pytest.raises(MagicError if pos < 4 else VersionError):
+                read(path)
+            continue
+        try:
+            read(path)
+        except ValueError:
+            pass

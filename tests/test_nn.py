@@ -1,3 +1,4 @@
+import struct
 import warnings
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from firecast import nn
+from firecast.binio import FormatError
 from firecast.nn import Tensor
 
 from gradcheck import check_grads, numeric_grad, rel_err
@@ -395,4 +397,19 @@ def test_checkpoint_rejects_garbage(tmp_path):
     p = tmp_path / "x.wfck"
     p.write_bytes(b"NOTACKPT")
     with pytest.raises(ValueError):
+        nn.load_checkpoint(p)
+
+
+def test_checkpoint_rejects_a_repeated_name(tmp_path):
+    def param(name, value):
+        raw = name.encode()
+        return struct.pack("<H", len(raw)) + raw + struct.pack("<BId", 1, 1, value)
+
+    p = tmp_path / "dup.wfck"
+    body = param("a", 1.0) + param("b", 2.0)
+    p.write_bytes(struct.pack("<4sBI", b"WFCK", 1, 2) + body)
+    assert {k: v.tolist() for k, v in nn.load_checkpoint(p).items()} == \
+        {"a": [1.0], "b": [2.0]}
+    p.write_bytes(struct.pack("<4sBI", b"WFCK", 1, 3) + body + param("a", 3.0))
+    with pytest.raises(FormatError, match="parameter 'a' appears twice"):
         nn.load_checkpoint(p)

@@ -4,15 +4,13 @@ import struct
 import numpy as np
 import pytest
 
+from firecast.binio import MagicError, TruncatedError, VersionError
 from firecast.raster import (
     CHANNELS,
     ChannelStats,
     DimensionError,
     GeoTransform,
-    MagicError,
     RasterStack,
-    TruncatedError,
-    VersionError,
     compute_stats,
     normalize,
     read_stack,

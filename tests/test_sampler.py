@@ -1,5 +1,6 @@
 import datetime
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from firecast import sampler
+from firecast.binio import FormatError
 from firecast.raster import CHANNELS, GeoTransform, RasterStack
 from firecast.sampler import (
     FireCluster,
     SamplerConfig,
     SamplingExhaustedError,
+    SequenceSample,
     TileSample,
     aggregate_masks,
     assign_splits,
@@ -546,3 +549,41 @@ def test_wfds_rejects_garbage(tmp_path):
         with pytest.raises(ValueError) as exc:
             read_dataset(p)
         assert str(exc.value) == f"{p}: unknown {field} code {code}"
+
+
+def _tile(kind="positive", c=2, s=4):
+    return TileSample(features=np.zeros((c, s, s), np.float32),
+                      label=np.zeros((s, s), np.int8), date=D0, origin=(0, 0),
+                      split="train", kind=kind)
+
+
+def test_wfds_rejects_samples_that_disagree_on_the_task(tmp_path):
+    p = tmp_path / "mixed.wfds"
+    write_dataset([_tile(), _tile("negative")], "daily", p)
+    raw = bytearray(p.read_bytes())
+    # file header, first sample (header, 2x4x4 float32 features, 4x4 labels),
+    # then the second sample's kind byte and its task byte
+    second_task = 13 + (24 + 2 * 4 * 4 * 4 + 4 * 4) + 1
+    assert raw[second_task] == 0
+    raw[second_task] = 1
+    p.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="sample 1 has task 'aggregated'"):
+        read_dataset(p)
+
+
+def test_wfds_rejects_bad_labels_and_time_steps(tmp_path):
+    p = tmp_path / "bad.wfds"
+    bad_label = _tile()
+    bad_label.label[2, 3] = 7
+    two_step_daily = SequenceSample(
+        features=np.zeros((2, 2, 4, 4), np.float32), label=np.zeros((4, 4), np.int8),
+        dates=(D0 - datetime.timedelta(days=1), D0), origin=(0, 0),
+        split="train", kind="positive")
+    no_step_sequence = replace(two_step_daily, features=np.zeros((0, 2, 4, 4), np.float32))
+    for samples, task, message in (
+            ([bad_label], "daily", r"sample 0 has a label outside \{-1, 0, 1\}"),
+            ([_tile(), two_step_daily], "aggregated", "sample 1 of task 'aggregated' has T = 2"),
+            ([no_step_sequence], "sequence", "sample 0 of task 'sequence' has T = 0")):
+        write_dataset(samples, task, p)
+        with pytest.raises(FormatError, match=message):
+            read_dataset(p)
