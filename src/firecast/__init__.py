@@ -4,7 +4,7 @@ training, and pixel metrics."""
 
 from .models import ModelConfig, build
 from .raster import ChannelStats, GeoTransform, RasterStack, read_stack, write_stack
-from .sampler import SamplerConfig, SequenceSample, TileSample, build_dataset
+from .sampler import Sample, SamplerConfig, build_dataset
 from .synth import SynthConfig, gen_scenes
 from .training import TrainConfig, train
 
@@ -15,10 +15,9 @@ __all__ = [
     "GeoTransform",
     "ModelConfig",
     "RasterStack",
+    "Sample",
     "SamplerConfig",
-    "SequenceSample",
     "SynthConfig",
-    "TileSample",
     "TrainConfig",
     "build",
     "build_dataset",

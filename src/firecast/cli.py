@@ -19,9 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, nn, raster, sampler, synth, training
-from .config import TASKS, ConfigError, RunConfig, apply_sweep_point, load_config
+from .config import ConfigError, RunConfig, apply_sweep_point, load_config
 from .models import ARCH_SPECS, CLI_NAMES, ModelConfig, build, resolve_arch
-from .sampler import SPLITS
+from .sampler import SPLITS, TASKS
 
 EXIT_OK = 0
 EXIT_ERROR = 1

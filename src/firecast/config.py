@@ -33,13 +33,11 @@ import os
 from dataclasses import dataclass, field, replace
 
 from .models import ModelConfig, resolve_arch
-from .sampler import SamplerConfig
+from .sampler import TASKS, SamplerConfig
 from .synth import SynthConfig
 from .training import TrainConfig
 
 ENV_PREFIX = "WF_"
-
-TASKS = ("daily", "aggregated", "sequence")
 
 
 class ConfigError(ValueError):
@@ -84,7 +82,6 @@ _SCHEMA = {
         "cluster_merge_distance": float,
         "negative_ratio": float,
         "split_ratio": _parse_floats,
-        "buffer_days": int,
         "aggregation_window": int,
         "rng_seed": int,
     },
@@ -99,11 +96,7 @@ _SCHEMA = {
         "batch_size": int,
         "learning_rate": float,
         "positive_weight": float,
-        "adam_beta1": float,
-        "adam_beta2": float,
-        "adam_eps": float,
         "rng_seed": int,
-        "eval_every": int,
     },
     "synth": {
         "grid": _parse_ints,

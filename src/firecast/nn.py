@@ -393,8 +393,8 @@ def save_checkpoint(params: dict, path) -> None:
     parts = [struct.pack("<4sBI", CKPT_MAGIC, CKPT_VERSION, len(names))]
     for name in names:
         value = params[name]
-        arr = np.ascontiguousarray(
-            value.data if isinstance(value, Tensor) else value, dtype="<f8")
+        # asarray keeps rank 0; tobytes writes row-major whatever the strides
+        arr = np.asarray(value.data if isinstance(value, Tensor) else value, dtype="<f8")
         raw = name.encode("utf-8")
         parts.append(_NAME_LEN.pack(len(raw)))
         parts.append(raw)

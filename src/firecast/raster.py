@@ -19,6 +19,7 @@ The WFRS byte layout (little-endian):
 from __future__ import annotations
 
 import datetime
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -72,8 +73,11 @@ class GeoTransform:
     pixel_size: float
 
     def __post_init__(self):
-        if self.pixel_size <= 0:
-            raise ValueError(f"pixel_size must be > 0, got {self.pixel_size}")
+        if not (math.isfinite(self.origin_x) and math.isfinite(self.origin_y)):
+            raise ValueError(
+                f"origin must be finite, got ({self.origin_x}, {self.origin_y})")
+        if not (math.isfinite(self.pixel_size) and self.pixel_size > 0):
+            raise ValueError(f"pixel_size must be finite and > 0, got {self.pixel_size}")
 
     def pixel_to_world(self, row, col):
         return (self.origin_x + col * self.pixel_size,
@@ -200,13 +204,34 @@ def read_stack(path) -> RasterStack:
     fire_mask = r.array(np.int8, (height, width)).copy()
     days, ox, oy, ps = r.unpack(_TRAILER)
     r.done()
+    try:
+        geo = GeoTransform(ox, oy, ps)
+    except ValueError as e:
+        raise FormatError(f"{path}: {e}") from e
     return RasterStack(
         date=r.date(days),
         channel_names=names,
         channels=channels,
         fire_mask=fire_mask,
-        geo=GeoTransform(ox, oy, ps),
+        geo=geo,
     )
+
+
+def box_sums(plane, rows, cols) -> np.ndarray:
+    """Sums of plane over a grid of boxes: with rows = (r0, r1) and
+    cols = (c0, c1), index arrays of box starts and stops,
+    out[i, j] = plane[r0[i]:r1[i], c0[j]:c1[j]].sum().
+
+    One integral image (summed-area table, Crow 1984) gives every box in
+    four lookups whatever its size. Integer and boolean planes sum exactly.
+    """
+    h, w = plane.shape
+    sums = plane.cumsum(axis=0).cumsum(axis=1)
+    integral = np.zeros((h + 1, w + 1), sums.dtype)
+    integral[1:, 1:] = sums
+    (r0, r1), (c0, c1) = rows, cols
+    return (integral[r1][:, c1] - integral[r0][:, c1]
+            - integral[r1][:, c0] + integral[r0][:, c0])
 
 
 def resample(plane, src_geo: GeoTransform, dst_geo: GeoTransform, dst_shape,

@@ -6,11 +6,13 @@ Three task framings share one sampling pass over the label planes:
   aggregated  features day t, label = OR of the masks over days t+1..t+7
   sequence    features days t-6..t, label as in aggregated
 
-Tiles are placed one per fire cluster (single-linkage chaining with a
-distance threshold), negatives are drawn from the same day at a fixed
-ratio, and whole 7-day blocks are assigned to train/val/test with the
-last day of each block excluded so no two splits hold adjacent label
-days.
+Every task yields one Sample type: a daily or aggregated sample holds
+one [C,S,S] feature frame, a sequence sample [T,C,S,S] frames, one date
+per frame. Tiles are placed one per fire cluster (single-linkage chaining
+with a distance threshold), negatives are drawn uniformly from the same
+day's fire-free windows at a fixed ratio, and whole 7-day blocks are
+assigned to train/val/test with the last day of each block excluded so no
+two splits hold adjacent label days.
 
 WFDS dataset files are little-endian, with no padding:
 
@@ -36,15 +38,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .binio import EPOCH, FormatError, Reader
-from .raster import GeoTransform, RasterStack
+from .raster import GeoTransform, RasterStack, box_sums
 
 BLOCK_DAYS = 7
+# trailing days of each block left out of every split
+BUFFER_DAYS = 1
 SPLITS = ("train", "val", "test")
+TASKS = ("daily", "aggregated", "sequence")
 
 DATASET_MAGIC = b"WFDS"
 DATASET_VERSION = 1
-
-_TASKS = ("daily", "aggregated", "sequence")
 
 # index entries gathered at once by find_fire_clusters (8 MB of intp)
 _GATHER_BLOCK = 1 << 20
@@ -54,14 +57,8 @@ _SPLIT_STREAM = 1
 _NEGATIVE_STREAM = 2
 
 
-class SamplingExhaustedError(RuntimeError):
-    """Rejection sampling hit its attempt cap before reaching the target."""
-
-    def __init__(self, achieved, target):
-        super().__init__(
-            f"negative sampling exhausted: found {achieved} of {target} fire-free tiles")
-        self.achieved = achieved
-        self.target = target
+class NoFireFreeWindowError(RuntimeError):
+    """Every tile-sized window of a day's label plane holds fire."""
 
 
 @dataclass(frozen=True)
@@ -70,7 +67,6 @@ class SamplerConfig:
     cluster_merge_distance: float = 10.0  # km
     negative_ratio: float = 2.0
     split_ratio: tuple[float, float, float] = (6.0, 1.0, 1.0)
-    buffer_days: int = 1
     aggregation_window: int = 7
     rng_seed: int = 0
 
@@ -83,44 +79,29 @@ class SamplerConfig:
             raise ValueError("negative_ratio must be >= 0")
         if any(r <= 0 for r in self.split_ratio):
             raise ValueError("split_ratio components must be positive")
-        if not 0 <= self.buffer_days < BLOCK_DAYS:
-            raise ValueError("buffer_days must be in [0, 7)")
 
 
 @dataclass
-class TileSample:
-    """Feature tile for one day; the label window starts the following day."""
+class Sample:
+    """A feature tile and its label; the label window starts the day after
+    the last frame."""
 
-    features: np.ndarray  # float32 [channels, tile, tile]
-    label: np.ndarray  # int8 [tile, tile], values in {-1, 0, 1}
-    date: datetime.date  # day the features were sampled
+    features: np.ndarray  # float32 [C, S, S], or [T, C, S, S] for sequences
+    label: np.ndarray  # int8 [S, S], values in {-1, 0, 1}
+    dates: tuple[datetime.date, ...]  # one per frame, strictly consecutive
     origin: tuple[int, int]  # (row, col) of the window in the source grid
     split: str
     kind: str  # positive | negative
-
-
-@dataclass
-class SequenceSample:
-    """A week of daily feature tiles sharing one aggregated label."""
-
-    features: np.ndarray  # float32 [time, channels, tile, tile]
-    label: np.ndarray
-    dates: tuple[datetime.date, ...]  # strictly consecutive
-    origin: tuple[int, int]
-    split: str
-    kind: str
 
     @property
     def date(self):
         return self.dates[-1]
 
 
-def last_frame(samples) -> list[TileSample]:
-    """Each SequenceSample's final frame as a TileSample sharing its
-    arrays, so an image model reads the same tiles a sequence model does."""
-    return [TileSample(features=s.features[-1], label=s.label, date=s.date,
-                       origin=s.origin, split=s.split, kind=s.kind)
-            for s in samples]
+def last_frame(samples) -> list[Sample]:
+    """Each sequence sample's final frame as a sample sharing its arrays,
+    so an image model reads the same tiles a sequence model does."""
+    return [replace(s, features=s.features[-1], dates=s.dates[-1:]) for s in samples]
 
 
 @dataclass(frozen=True)
@@ -233,33 +214,38 @@ def _window_origin(centroid, shape, tile):
     return (min(max(r, 0), h - tile), min(max(c, 0), w - tile))
 
 
+def _tile(stack, origin, t, split, kind) -> Sample:
+    """The t x t window at origin, copied out of the stack."""
+    r0, c0 = origin
+    return Sample(features=stack.channels[:, r0:r0 + t, c0:c0 + t].copy(),
+                  label=stack.fire_mask[r0:r0 + t, c0:c0 + t].copy(),
+                  dates=(stack.date,), origin=origin, split=split, kind=kind)
+
+
 def extract_positive_tiles(stack: RasterStack, clusters, cfg: SamplerConfig,
-                           split: str = "train") -> list[TileSample]:
+                           split: str = "train") -> list[Sample]:
     """One tile per cluster, centered on its rounded centroid and clamped
     inside the grid; labels come from the stack's fire mask."""
     t = cfg.tile_size
     if stack.height < t or stack.width < t:
         raise ValueError(
             f"grid {stack.height}x{stack.width} smaller than tile size {t}")
-    tiles = []
-    for cluster in clusters:
-        r0, c0 = _window_origin(cluster.centroid(), (stack.height, stack.width), t)
-        tiles.append(TileSample(
-            features=stack.channels[:, r0:r0 + t, c0:c0 + t].copy(),
-            label=stack.fire_mask[r0:r0 + t, c0:c0 + t].copy(),
-            date=stack.date,
-            origin=(r0, c0),
-            split=split,
-            kind="positive",
-        ))
-    return tiles
+    return [_tile(stack, _window_origin(c.centroid(), (stack.height, stack.width), t),
+                  t, split, "positive") for c in clusters]
 
 
 def sample_negative_tiles(stack: RasterStack, n_positive: int,
                           cfg: SamplerConfig, rng,
-                          split: str = "train") -> list[TileSample]:
-    """Uniform-random fire-free windows (uncertain pixels allowed), exactly
-    negative_ratio * n_positive of them; capped rejection sampling."""
+                          split: str = "train") -> list[Sample]:
+    """Exactly negative_ratio * n_positive windows drawn uniformly, with
+    replacement, from the origins whose window holds no fire (uncertain
+    pixels allowed).
+
+    One integral image of the fire pixels counts the fire under every
+    origin; draws of (row, col) are then accepted iff that count is 0.
+    Raises NoFireFreeWindowError when no origin is fire-free, so the
+    draws always end.
+    """
     if n_positive < 0:
         raise ValueError("n_positive must be >= 0")
     target = int(round(cfg.negative_ratio * n_positive))
@@ -269,26 +255,18 @@ def sample_negative_tiles(stack: RasterStack, n_positive: int,
     if stack.height < t or stack.width < t:
         raise ValueError(
             f"grid {stack.height}x{stack.width} smaller than tile size {t}")
+    rows = np.arange(stack.height - t + 1)
+    cols = np.arange(stack.width - t + 1)
+    fire_free = box_sums(stack.fire_mask == 1, (rows, rows + t), (cols, cols + t)) == 0
+    if not fire_free.any():
+        raise NoFireFreeWindowError(
+            f"no fire-free {t}x{t} window on {stack.date}")
     tiles = []
-    attempts = 0
-    cap = 1000 * target
     while len(tiles) < target:
-        if attempts >= cap:
-            raise SamplingExhaustedError(len(tiles), target)
-        attempts += 1
-        r0 = int(rng.integers(0, stack.height - t + 1))
-        c0 = int(rng.integers(0, stack.width - t + 1))
-        label = stack.fire_mask[r0:r0 + t, c0:c0 + t]
-        if (label == 1).any():
-            continue
-        tiles.append(TileSample(
-            features=stack.channels[:, r0:r0 + t, c0:c0 + t].copy(),
-            label=label.copy(),
-            date=stack.date,
-            origin=(r0, c0),
-            split=split,
-            kind="negative",
-        ))
+        r0 = int(rng.integers(0, len(rows)))
+        c0 = int(rng.integers(0, len(cols)))
+        if fire_free[r0, c0]:
+            tiles.append(_tile(stack, (r0, c0), t, split, "negative"))
     return tiles
 
 
@@ -299,7 +277,7 @@ def sample_negative_tiles(stack: RasterStack, n_positive: int,
 def assign_splits(dates, cfg: SamplerConfig, rng) -> dict[datetime.date, str]:
     """Group days into consecutive 7-day blocks from the earliest date and
     draw each block's split with probabilities split_ratio/sum; the final
-    buffer_days day(s) of every block map to "excluded"."""
+    BUFFER_DAYS day(s) of every block map to "excluded"."""
     dates = sorted(set(dates))
     if not dates:
         raise ValueError("dates must be nonempty")
@@ -311,7 +289,7 @@ def assign_splits(dates, cfg: SamplerConfig, rng) -> dict[datetime.date, str]:
     out = {}
     for d in dates:
         offset = (d - start).days
-        if offset % BLOCK_DAYS >= BLOCK_DAYS - cfg.buffer_days:
+        if offset % BLOCK_DAYS >= BLOCK_DAYS - BUFFER_DAYS:
             out[d] = "excluded"
         else:
             out[d] = SPLITS[blocks[offset // BLOCK_DAYS]]
@@ -336,10 +314,11 @@ def aggregate_masks(masks) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def build_dataset(stacks, cfg: SamplerConfig, task: str):
-    """Produce TileSamples (daily/aggregated) or SequenceSamples (sequence)
-    for every day with enough history and future, skipping excluded label
-    days. Deterministic given (stacks, cfg.rng_seed)."""
-    if task not in _TASKS:
+    """Samples for every day with enough history and future, skipping
+    excluded label days. A day's tiles are placed on its own features; for
+    the sequence task each is then widened to the window's frames at the
+    same origin. Deterministic given (stacks, cfg.rng_seed)."""
+    if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
     stacks = list(stacks)
     if not stacks:
@@ -380,21 +359,14 @@ def build_dataset(stacks, cfg: SamplerConfig, task: str):
 
         day_samples = pos + neg
         if task == "sequence":
-            frame_range = range(i - window + 1, i + 1)
-            frame_dates = tuple(dates[k] for k in frame_range)
+            frames = range(i - window + 1, i + 1)
+            t = cfg.tile_size
             day_samples = [
-                SequenceSample(
-                    features=np.stack([
-                        stacks[k].channels[:, s.origin[0]:s.origin[0] + cfg.tile_size,
-                                           s.origin[1]:s.origin[1] + cfg.tile_size]
-                        for k in frame_range]),
-                    label=s.label,
-                    dates=frame_dates,
-                    origin=s.origin,
-                    split=s.split,
-                    kind=s.kind,
-                ) for s in day_samples
-            ]
+                replace(s, features=np.stack([
+                    stacks[k].channels[:, s.origin[0]:s.origin[0] + t,
+                                       s.origin[1]:s.origin[1] + t]
+                    for k in frames]), dates=tuple(dates[k] for k in frames))
+                for s in day_samples]
         samples.extend(day_samples)
     return samples
 
@@ -414,7 +386,7 @@ def split_subsets(samples):
 _COUNT = struct.Struct("<Q")
 _SAMPLE_HEADER = struct.Struct("<BBBqIIBHH")
 
-# a WFDS kind, task or split code is the name's index in _KINDS, _TASKS, SPLITS
+# a WFDS kind, task or split code is the name's index in _KINDS, TASKS, SPLITS
 _KINDS = ("negative", "positive")
 _LABEL_BYTES = np.array([-1, 0, 1], np.int8).tobytes()
 
@@ -430,15 +402,10 @@ def write_dataset(samples, task: str, path) -> None:
     parts = [DATASET_MAGIC, bytes((DATASET_VERSION,)), _COUNT.pack(len(samples))]
     for s in samples:
         feats = np.ascontiguousarray(s.features, dtype="<f4")
-        if feats.ndim == 3:
-            t_steps = 1
-            channels, tile = feats.shape[:2]
-        else:
-            t_steps, channels, tile = feats.shape[:3]
         parts.append(_SAMPLE_HEADER.pack(
-            _KINDS.index(s.kind), _TASKS.index(task), SPLITS.index(s.split),
+            _KINDS.index(s.kind), TASKS.index(task), SPLITS.index(s.split),
             (s.date - EPOCH).days, s.origin[0], s.origin[1],
-            t_steps, channels, tile))
+            feats.shape[0] if feats.ndim == 4 else 1, feats.shape[-3], feats.shape[-1]))
         parts.append(feats.tobytes())
         parts.append(np.ascontiguousarray(s.label, dtype=np.int8).tobytes())
     with open(path, "wb") as f:
@@ -454,7 +421,7 @@ def read_dataset(path):
     for i in range(count):
         kind, task_code, split, days, orow, ocol, t_steps, channels, tile = \
             r.unpack(_SAMPLE_HEADER)
-        sample_task = _decode(path, "task", _TASKS, task_code)
+        sample_task = _decode(path, "task", TASKS, task_code)
         kind = _decode(path, "kind", _KINDS, kind)
         split = _decode(path, "split", SPLITS, split)
         if task not in (None, sample_task):
@@ -463,18 +430,13 @@ def read_dataset(path):
         task = sample_task
         if t_steps == 0 or (t_steps != 1 and task != "sequence"):
             raise FormatError(f"{path}: sample {i} of task {task!r} has T = {t_steps}")
-        feats = r.array("<f4", (t_steps, channels, tile, tile)).copy()
+        frames = (t_steps,) if task == "sequence" else ()
+        feats = r.array("<f4", frames + (channels, tile, tile)).copy()
         label = r.array(np.int8, (tile, tile)).copy()
         if label.tobytes().translate(None, _LABEL_BYTES):
             raise FormatError(f"{path}: sample {i} has a label outside {{-1, 0, 1}}")
         dates = tuple(r.date(days - k) for k in range(t_steps - 1, -1, -1))
-        if task == "sequence":
-            samples.append(SequenceSample(
-                features=feats, label=label, dates=dates,
-                origin=(orow, ocol), split=split, kind=kind))
-        else:
-            samples.append(TileSample(
-                features=feats[0], label=label, date=dates[0],
-                origin=(orow, ocol), split=split, kind=kind))
+        samples.append(Sample(features=feats, label=label, dates=dates,
+                              origin=(orow, ocol), split=split, kind=kind))
     r.done()
     return samples, task

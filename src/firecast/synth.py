@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nn import stable_sigmoid
-from .raster import CHANNELS, GeoTransform, RasterStack
+from .raster import CHANNELS, GeoTransform, RasterStack, box_sums
 
 DAILY_RHO = 0.7
 START_DATE = datetime.date(2020, 1, 1)
@@ -57,18 +57,14 @@ class SynthConfig:
 
 
 def _box_mean(plane, radius):
-    """Mean over (2r+1)^2 windows clamped to the grid, via integral image."""
+    """Mean over (2r+1)^2 windows clamped to the grid."""
     h, w = plane.shape
-    integral = np.zeros((h + 1, w + 1))
-    integral[1:, 1:] = plane.cumsum(axis=0).cumsum(axis=1)
     r0 = np.clip(np.arange(h) - radius, 0, h)
     r1 = np.clip(np.arange(h) + radius + 1, 0, h)
     c0 = np.clip(np.arange(w) - radius, 0, w)
     c1 = np.clip(np.arange(w) + radius + 1, 0, w)
-    total = (integral[r1][:, c1] - integral[r0][:, c1]
-             - integral[r1][:, c0] + integral[r0][:, c0])
     area = (r1 - r0)[:, None] * (c1 - c0)[None, :]
-    return total / area
+    return box_sums(plane, (r0, r1), (c0, c1)) / area
 
 
 def gen_field(shape, smoothing_radius, rng) -> np.ndarray:

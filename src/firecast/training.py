@@ -11,6 +11,10 @@ import numpy as np
 from . import metrics, nn
 from .nn import Tensor
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -18,15 +22,11 @@ class TrainConfig:
     batch_size: int = 64
     learning_rate: float = 1e-4
     positive_weight: float = 3.0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     rng_seed: int = 0
-    eval_every: int = 1
 
     def __post_init__(self):
-        if self.epochs <= 0 or self.batch_size <= 0 or self.eval_every <= 0:
-            raise ValueError("epochs, batch_size, eval_every must be positive")
+        if self.epochs <= 0 or self.batch_size <= 0:
+            raise ValueError("epochs and batch_size must be positive")
         if self.learning_rate <= 0 or self.positive_weight <= 0:
             raise ValueError("learning_rate and positive_weight must be positive")
 
@@ -86,21 +86,21 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
             raise ValueError(f"missing gradient for parameter {name!r}")
     state.step += 1
     t = state.step
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for name, p in params.items():
         g = grads[name]
         state.m[name] = b1 * state.m[name] + (1 - b1) * g
         state.v[name] = b2 * state.v[name] + (1 - b2) * g * g
         m_hat = state.m[name] / (1 - b1 ** t)
         v_hat = state.v[name] / (1 - b2 ** t)
-        p.data = p.data - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        p.data = p.data - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 @dataclass
 class EpochRecord:
     epoch: int
     train_loss: float
-    val_auc: float | None
+    val_auc: float
     is_best: bool
 
 
@@ -116,9 +116,7 @@ class TrainReport:
             w = csv.writer(f)
             w.writerow(("epoch", "train_loss", "val_auc", "is_best"))
             for r in self.history:
-                w.writerow((r.epoch, repr(r.train_loss),
-                            "" if r.val_auc is None else repr(r.val_auc),
-                            int(r.is_best)))
+                w.writerow((r.epoch, repr(r.train_loss), repr(r.val_auc), int(r.is_best)))
 
 
 def _collate(samples):
@@ -150,18 +148,18 @@ def train(model, train_data, val_data, cfg: TrainConfig) -> TrainReport:
             nn.backward(loss)
             adam_step(params, {k: p.grad for k, p in params.items()}, state, cfg)
             losses.append(loss.item())
+            # the graph holds every activation and interior gradient; free
+            # it before the next batch builds its own
+            del logits, loss
 
-        val_auc = None
-        is_best = False
-        if epoch % cfg.eval_every == 0:
-            probs, labels = metrics.predict_pixels(model, val_data)
-            keep = labels != -1
-            val_auc = metrics.roc_auc(probs[keep], labels[keep])
-            if val_auc > report.best_val_auc:
-                report.best_val_auc = val_auc
-                report.best_epoch = epoch
-                report.best_params = {k: p.data.copy() for k, p in params.items()}
-                is_best = True
+        probs, labels = metrics.predict_pixels(model, val_data)
+        keep = labels != -1
+        val_auc = metrics.roc_auc(probs[keep], labels[keep])
+        is_best = val_auc > report.best_val_auc
+        if is_best:
+            report.best_val_auc = val_auc
+            report.best_epoch = epoch
+            report.best_params = {k: p.data.copy() for k, p in params.items()}
         report.history.append(EpochRecord(epoch, float(np.mean(losses)),
                                           val_auc, is_best))
     return report

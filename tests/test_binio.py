@@ -10,13 +10,7 @@ from hypothesis import strategies as st
 from firecast import nn
 from firecast.binio import FormatError, MagicError, TruncatedError, VersionError
 from firecast.raster import CHANNELS, GeoTransform, RasterStack, read_stack, write_stack
-from firecast.sampler import (
-    SPLITS,
-    SequenceSample,
-    TileSample,
-    read_dataset,
-    write_dataset,
-)
+from firecast.sampler import SPLITS, Sample, read_dataset, write_dataset
 
 
 def _date(rng):
@@ -44,20 +38,18 @@ def _wfds(rng, path):
                     split=SPLITS[int(rng.integers(0, 3))],
                     kind=("negative", "positive")[int(rng.integers(0, 2))])
         last = _date(rng)
-        if task == "sequence":
-            samples.append(SequenceSample(
-                features=rng.normal(size=(t, c, s, s)).astype(np.float32),
-                dates=tuple(last - datetime.timedelta(days=t - 1 - k) for k in range(t)),
-                **meta))
-        else:
-            samples.append(TileSample(
-                features=rng.normal(size=(c, s, s)).astype(np.float32), date=last, **meta))
+        frames = t if task == "sequence" else 1
+        shape = (t, c, s, s) if task == "sequence" else (c, s, s)
+        samples.append(Sample(
+            features=rng.normal(size=shape).astype(np.float32),
+            dates=tuple(last - datetime.timedelta(days=frames - 1 - k) for k in range(frames)),
+            **meta))
     write_dataset(samples, task, path)
 
     def round_trip():
         loaded, loaded_task = read_dataset(path)
         return ((loaded_task == task or not samples) and len(loaded) == len(samples)
-                and all(a.date == b.date and a.origin == b.origin and a.split == b.split
+                and all(a.dates == b.dates and a.origin == b.origin and a.split == b.split
                         and a.kind == b.kind and np.array_equal(a.features, b.features)
                         and np.array_equal(a.label, b.label)
                         for a, b in zip(loaded, samples)))
@@ -67,7 +59,7 @@ def _wfds(rng, path):
 def _wfck(rng, path):
     params = {}
     for i in range(int(rng.integers(0, 4))):
-        shape = tuple(int(v) for v in rng.integers(0, 3, size=int(rng.integers(1, 4))))
+        shape = tuple(int(v) for v in rng.integers(0, 3, size=int(rng.integers(0, 4))))
         params[f"layer{i}.w"] = rng.normal(size=shape)
     nn.save_checkpoint(params, path)
 

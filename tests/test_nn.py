@@ -385,6 +385,14 @@ def test_checkpoint_round_trip(tmp_path):
         assert loaded[name].tobytes() == params[name].data.tobytes()
 
 
+def test_checkpoint_keeps_rank_zero(tmp_path):
+    p = tmp_path / "s.wfck"
+    nn.save_checkpoint({"s": np.float64(2.0), "t": Tensor(np.array(-1.5))}, p)
+    loaded = nn.load_checkpoint(p)
+    assert loaded["s"].shape == () and loaded["s"] == 2.0
+    assert loaded["t"].shape == () and loaded["t"] == -1.5
+
+
 def test_checkpoint_deterministic_bytes(tmp_path):
     params = {"a.w": Tensor(np.arange(4.0)), "b.w": Tensor(np.ones((2, 2)))}
     p1, p2 = tmp_path / "a.wfck", tmp_path / "b.wfck"

@@ -4,13 +4,14 @@ import struct
 import numpy as np
 import pytest
 
-from firecast.binio import MagicError, TruncatedError, VersionError
+from firecast.binio import FormatError, MagicError, TruncatedError, VersionError
 from firecast.raster import (
     CHANNELS,
     ChannelStats,
     DimensionError,
     GeoTransform,
     RasterStack,
+    box_sums,
     compute_stats,
     normalize,
     read_stack,
@@ -169,6 +170,39 @@ def test_truncated_payload(tmp_path):
     p.write_bytes(p.read_bytes()[:-40])
     with pytest.raises(TruncatedError):
         read_stack(p)
+
+
+@pytest.mark.parametrize("field", ["origin_x", "origin_y", "pixel_size"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
+def test_bad_geo_trailer_is_a_format_error(tmp_path, field, value):
+    s = make_stack(h=2, w=3, n_channels=1)
+    p = tmp_path / "g.wfrs"
+    write_stack(s, p)
+    raw = bytearray(p.read_bytes())
+    # the trailer's last 24 bytes: origin_x, origin_y, pixel_size as <f8
+    offset = len(raw) - 24 + 8 * ("origin_x", "origin_y", "pixel_size").index(field)
+    struct.pack_into("<d", raw, offset, value)
+    p.write_bytes(bytes(raw))
+    if field != "pixel_size" and np.isfinite(value):
+        assert getattr(read_stack(p).geo, field) == value
+        return
+    with pytest.raises(FormatError, match=field.split("_")[0]):
+        read_stack(p)
+
+
+def test_box_sums_match_slice_sums():
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        h, w = (int(v) for v in rng.integers(1, 12, size=2))
+        plane = rng.integers(-3, 4, size=(h, w))
+        r0 = rng.integers(0, h + 1, size=int(rng.integers(1, 5)))
+        r1 = np.minimum(r0 + rng.integers(0, h + 1, size=len(r0)), h)
+        c0 = rng.integers(0, w + 1, size=int(rng.integers(1, 5)))
+        c1 = np.minimum(c0 + rng.integers(0, w + 1, size=len(c0)), w)
+        out = box_sums(plane, (r0, r1), (c0, c1))
+        expect = [[plane[a:b, c:d].sum() for c, d in zip(c0, c1)] for a, b in zip(r0, r1)]
+        np.testing.assert_array_equal(out, expect)
+        assert box_sums(plane == 1, (r0, r1), (c0, c1)).dtype.kind == "i"
 
 
 def test_dimension_overflow(tmp_path):

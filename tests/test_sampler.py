@@ -12,10 +12,9 @@ from firecast.binio import FormatError
 from firecast.raster import CHANNELS, GeoTransform, RasterStack
 from firecast.sampler import (
     FireCluster,
+    NoFireFreeWindowError,
+    Sample,
     SamplerConfig,
-    SamplingExhaustedError,
-    SequenceSample,
-    TileSample,
     aggregate_masks,
     assign_splits,
     build_dataset,
@@ -266,10 +265,60 @@ def test_zero_positives_no_negatives():
 def test_saturated_grid_exhausts_cap():
     stack = stack_with_mask(np.ones((64, 64)), n_channels=1)
     cfg = SamplerConfig(tile_size=32, negative_ratio=2.0)
-    with pytest.raises(SamplingExhaustedError) as exc:
+    with pytest.raises(NoFireFreeWindowError,
+                       match=f"no fire-free 32x32 window on {D0}"):
         sample_negative_tiles(stack, 1, cfg, np.random.default_rng(0))
-    assert exc.value.achieved == 0
-    assert exc.value.target == 2
+
+
+def test_single_fire_free_origin_is_found():
+    """Fire everywhere but one 32x32 window: 1 of 28,561 origins is free,
+    far more draws than an attempt cap of 1000 per negative allows."""
+    mask = np.ones((200, 200), dtype=np.int8)
+    mask[100:132, 50:82] = 0
+    stack = stack_with_mask(mask, n_channels=2)
+    cfg = SamplerConfig(tile_size=32, negative_ratio=2.0)
+    negs = sample_negative_tiles(stack, 1, cfg, np.random.default_rng(0))
+    assert [s.origin for s in negs] == [(100, 50), (100, 50)]
+    for s in negs:
+        np.testing.assert_array_equal(s.label, 0)
+        np.testing.assert_array_equal(s.features, stack.channels[:, 100:132, 50:82])
+
+
+def reference_negative_origins(mask, tile, target, rng):
+    """Uncapped rejection: draw (row, col) until `target` windows hold no
+    fire pixel, testing each window directly."""
+    h, w = mask.shape
+    origins = []
+    while len(origins) < target:
+        r0 = int(rng.integers(0, h - tile + 1))
+        c0 = int(rng.integers(0, w - tile + 1))
+        if not (mask[r0:r0 + tile, c0:c0 + tile] == 1).any():
+            origins.append((r0, c0))
+    return origins
+
+
+@pytest.mark.parametrize("fire", [0.005, 0.02, 0.1, 0.2, 0.4])
+def test_negative_origins_match_uncapped_reference(fire):
+    compared = 0
+    for seed in range(20):
+        rng = np.random.default_rng([seed, 1])
+        h, w = (int(v) for v in rng.integers(8, 40, size=2))
+        u = rng.uniform(size=(h, w))
+        mask = np.where(u < fire, 1, np.where(u > 0.95, -1, 0)).astype(np.int8)
+        tile = int(rng.integers(1, 7))
+        stack = stack_with_mask(mask, n_channels=1)
+        cfg = SamplerConfig(tile_size=tile, negative_ratio=1.5)
+        windows = [mask[r:r + tile, c:c + tile]
+                   for r in range(h - tile + 1) for c in range(w - tile + 1)]
+        if not any((win != 1).all() for win in windows):
+            with pytest.raises(NoFireFreeWindowError):
+                sample_negative_tiles(stack, 4, cfg, np.random.default_rng(seed))
+            continue
+        negs = sample_negative_tiles(stack, 4, cfg, np.random.default_rng(seed))
+        assert [s.origin for s in negs] == reference_negative_origins(
+            mask, tile, 6, np.random.default_rng(seed))
+        compared += 1
+    assert compared >= 5
 
 
 def test_negatives_can_contain_uncertain():
@@ -514,7 +563,7 @@ def test_last_frame_views_the_final_frame(tmp_path):
         views = last_frame(samples)
         assert len(views) == len(samples)
         for v, s in zip(views, samples):
-            assert isinstance(v, TileSample)
+            assert isinstance(v, Sample)
             assert v.features.shape == s.features.shape[1:]
             assert np.shares_memory(v.features, s.features[-1])
             np.testing.assert_array_equal(v.features, s.features[-1])
@@ -537,9 +586,9 @@ def test_wfds_rejects_garbage(tmp_path):
         read_dataset(p)
 
     # the kind, task and split bytes of the first sample header, out of range
-    tile = TileSample(features=np.zeros((2, 4, 4), np.float32),
-                      label=np.zeros((4, 4), np.int8), date=D0, origin=(0, 0),
-                      split="val", kind="positive")
+    tile = Sample(features=np.zeros((2, 4, 4), np.float32),
+                  label=np.zeros((4, 4), np.int8), dates=(D0,), origin=(0, 0),
+                  split="val", kind="positive")
     write_dataset([tile], "daily", p)
     good = p.read_bytes()
     for offset, field, code in ((13, "kind", 7), (14, "task", 5), (15, "split", 9)):
@@ -552,9 +601,9 @@ def test_wfds_rejects_garbage(tmp_path):
 
 
 def _tile(kind="positive", c=2, s=4):
-    return TileSample(features=np.zeros((c, s, s), np.float32),
-                      label=np.zeros((s, s), np.int8), date=D0, origin=(0, 0),
-                      split="train", kind=kind)
+    return Sample(features=np.zeros((c, s, s), np.float32),
+                  label=np.zeros((s, s), np.int8), dates=(D0,), origin=(0, 0),
+                  split="train", kind=kind)
 
 
 def test_wfds_rejects_samples_that_disagree_on_the_task(tmp_path):
@@ -575,7 +624,7 @@ def test_wfds_rejects_bad_labels_and_time_steps(tmp_path):
     p = tmp_path / "bad.wfds"
     bad_label = _tile()
     bad_label.label[2, 3] = 7
-    two_step_daily = SequenceSample(
+    two_step_daily = Sample(
         features=np.zeros((2, 2, 4, 4), np.float32), label=np.zeros((4, 4), np.int8),
         dates=(D0 - datetime.timedelta(days=1), D0), origin=(0, 0),
         split="train", kind="positive")

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -213,6 +214,26 @@ def test_best_checkpoint_is_argmax_of_val_auc():
     assert report.best_val_auc == max(aucs)
     flagged = [r.epoch for r in report.history if r.is_best]
     assert report.best_epoch == flagged[-1]
+
+
+def test_each_batch_graph_is_freed_before_the_next_forward():
+    """A batch's logits, and so the graph and interior gradients behind
+    them, must be gone before the next batch builds its graph."""
+    model = toy_model(seed=13)
+    forward = model.forward
+    graphs = []
+
+    def tracked(x):
+        assert [ref for ref in graphs if ref() is not None] == []
+        out = forward(x)
+        if out._parents:  # a training batch, not a no_grad validation pass
+            graphs.append(weakref.ref(out.data))
+        return out
+
+    model.forward = tracked
+    train(model, toy_dataset(12, seed=14), toy_dataset(4, seed=15),
+          TrainConfig(epochs=2, batch_size=4, learning_rate=1e-3, rng_seed=0))
+    assert len(graphs) == 6
 
 
 def test_training_is_deterministic():
