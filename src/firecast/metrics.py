@@ -24,17 +24,12 @@ class UndefinedAUCError(ValueError):
 def _midranks(values):
     """1-based ranks; tied values share the mean of their rank range."""
     values = np.asarray(values, dtype=np.float64)
-    n = values.size
     order = np.argsort(values, kind="mergesort")
     s = values[order]
-    ranks = np.empty(n, dtype=np.float64)
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and s[j + 1] == s[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    start = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])  # first index of each run
+    end = np.r_[start[1:], s.size] - 1
+    ranks = np.empty(s.size, dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (start + end) + 1.0, end - start + 1)
     return ranks
 
 

@@ -24,6 +24,7 @@ import struct
 from contextlib import contextmanager
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .binio import FormatError, Reader
 
@@ -233,26 +234,27 @@ def stable_sigmoid(z):
 # ---------------------------------------------------------------------------
 
 def _im2col(xp, k, stride, ho, wo):
-    """[N,C,Hp,Wp] padded input -> [N, C*k*k, ho*wo] patch tensor.
+    """[N,C,Hp,Wp] padded input -> [N, C*k*k, ho*wo] patch tensor, one copy of
+    a read-only window view of xp; needs (ho-1)*stride + k-1 <= Hp-1.
 
     The (c, ki, kj) packing order matches kernel.reshape(F, C*k*k), and the
     trailing ho*wo axis keeps the result GEMM-ready without a transpose.
     """
     n, c = xp.shape[:2]
-    if k == 1 and stride == 1:
-        return xp.reshape(n, c, ho * wo)
-    patches = np.empty((n, c, k, k, ho, wo), dtype=xp.dtype)
-    for ki in range(k):
-        for kj in range(k):
-            patches[:, :, ki, kj] = xp[:, :, ki:ki + stride * ho:stride,
-                                       kj:kj + stride * wo:stride]
-    return patches.reshape(n, c * k * k, ho * wo)
+    s = xp.strides
+    win = as_strided(xp, (n, c, k, k, ho, wo), s + (stride * s[2], stride * s[3]), writeable=False)
+    return np.ascontiguousarray(win).reshape(n, c * k * k, ho * wo)
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     """Cross-correlation with 'same' zero padding of (k-1)//2 plus bias.
 
     x [N,C,H,W], kernel [F,C,k,k], bias [F] -> [N,F,H/stride,W/stride].
+
+    One _im2col and one GEMM per product: the kernel gradient reuses the
+    forward's patches, and the input gradient runs the forward correlation
+    on g dilated by the stride and padded by k-1-pad, with the kernel
+    flipped and its F, C axes swapped (a transposed conv, arXiv 1603.07285).
     """
     if stride not in (1, 2):
         raise ShapeError(f"conv2d: stride must be 1 or 2, got {stride}")
@@ -269,10 +271,10 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     ho = (h + 2 * pad - k) // stride + 1
     wo = (w + 2 * pad - k) // stride + 1
 
-    if pad:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    else:
-        xp = x.data
+    xp = x.data
+    if pad:  # np.pad costs several times this on the small batches of predict
+        xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
+        xp[:, :, pad:pad + h, pad:pad + w] = x.data
     cols = _im2col(xp, k, stride, ho, wo)  # [n, ckk, howo]
     wmat = kernel.data.reshape(f, c * k * k)
     out = (wmat[None] @ cols).reshape(n, f, ho, wo)
@@ -287,14 +289,11 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
                     .reshape(kernel.shape))
         if x._backward is None and not x.requires_grad:
             return
-        dcols = np.matmul(wmat.T[None], gmat)
-        dpatch = dcols.reshape(n, c, k, k, ho, wo)
-        dxp = np.zeros_like(xp)
-        for ki in range(k):
-            for kj in range(k):
-                dxp[:, :, ki:ki + stride * ho:stride,
-                    kj:kj + stride * wo:stride] += dpatch[:, :, ki, kj]
-        _accumulate(x, dxp[:, :, pad:pad + h, pad:pad + w] if pad else dxp)
+        gp = np.zeros((n, f, h + k - 1, w + k - 1))
+        lo = k - 1 - pad
+        gp[:, :, lo:lo + stride * ho:stride, lo:lo + stride * wo:stride] = g
+        wflip = kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, f * k * k)
+        _accumulate(x, (wflip[None] @ _im2col(gp, k, 1, h, w)).reshape(n, c, h, w))
 
     return _make(out, (x, kernel, bias), back)
 

@@ -23,6 +23,35 @@ def auc_pair_oracle(scores, labels):
     return total / (len(pos) * len(neg))
 
 
+def midranks_loop(values):
+    """Run-by-run midranks in a Python loop: the reference for _midranks."""
+    values = np.asarray(values, dtype=np.float64)
+    n = values.size
+    order = np.argsort(values, kind="mergesort")
+    s = values[order]
+    ranks = np.empty(n, dtype=np.float64)
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and s[j + 1] == s[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.lists(st.floats(-1e6, 1e6, allow_nan=False), max_size=40),
+    st.lists(st.integers(0, 3).map(float), max_size=60),  # heavy ties
+    st.builds(lambda v, n: [v] * n, st.floats(-1, 1), st.integers(0, 30))))
+def test_midranks_equal_the_loop_reference(values):
+    got = metrics._midranks(values)
+    expect = midranks_loop(values)
+    assert got.shape == expect.shape == (len(values),)
+    assert np.array_equal(got, expect)
+
+
 def test_perfect_ranking():
     assert roc_auc([0.9, 0.1], [1, 0]) == 1.0
 

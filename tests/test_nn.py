@@ -97,6 +97,44 @@ def test_conv_shape_errors():
         nn.conv2d(x, Tensor(np.zeros((1, 2, 3, 3))), Tensor(np.zeros(1)), stride=3)
 
 
+def col2im_input_grad(g, kernel, x_shape, stride):
+    """Input gradient of conv2d by scattering each patch's gradient back
+    into the padded input, k*k slice-adds (the reference for conv2d's
+    transposed-conv backward)."""
+    n, c, h, w = x_shape
+    f, _, k, _ = kernel.shape
+    pad = (k - 1) // 2
+    _, _, ho, wo = g.shape
+    dcols = np.einsum("fcij,nfyx->ncijyx", kernel, g)
+    dxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
+    for ki in range(k):
+        for kj in range(k):
+            dxp[:, :, ki:ki + stride * ho:stride,
+                kj:kj + stride * wo:stride] += dcols[:, :, ki, kj]
+    return dxp[:, :, pad:pad + h, pad:pad + w]
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 4), c=st.integers(1, 4), f=st.integers(1, 4),
+       h=st.integers(1, 9), w=st.integers(1, 9), k=st.sampled_from([1, 2, 3, 5]),
+       stride=st.sampled_from([1, 2]), seed=st.integers(0, 2**32 - 1))
+def test_conv_input_grad_is_the_adjoint(n, c, f, h, w, k, stride, seed):
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.normal(size=(n, c, h, w)), requires_grad=True)
+    kernel = Tensor(rng.normal(size=(f, c, k, k)))
+    b = Tensor(rng.normal(size=f))
+    y = nn.conv2d(x, kernel, b, stride)
+    g = rng.normal(size=y.shape)
+    nn.backward(nn.tsum(nn.mul(y, Tensor(g))))
+    # <A x, g> == <x, A^T g> for the linear part A of the conv
+    ax = (y.data - b.data[:, None, None]) * g
+    xat = x.data * x.grad
+    scale = np.abs(ax).sum() + np.abs(xat).sum()
+    assert abs(ax.sum() - xat.sum()) <= 1e-10 * scale
+    ref = col2im_input_grad(g, kernel.data, x.shape, stride)
+    assert np.abs(x.grad - ref).max() <= 1e-10 * max(np.abs(ref).max(), 1.0)
+
+
 @pytest.mark.parametrize("stride", [1, 2])
 def test_conv_grads(stride):
     for seed in range(20):
