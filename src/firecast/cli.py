@@ -157,13 +157,11 @@ def cmd_train(cfg: RunConfig, out: Path) -> int:
     data_dir = _data_dir(cfg, out)
     train_data = _read_split(data_dir, cfg.task, "train")
     val_data = _read_split(data_dir, cfg.task, "val")
-    model, mcfg, report = _train_once(cfg, train_data, val_data)
+    _, mcfg, report = _train_once(cfg, train_data, val_data)
 
     out.mkdir(parents=True, exist_ok=True)
     ckpt = out / "checkpoint.wfck"
-    best = report.best_params if report.best_params else \
-        {k: t.data for k, t in model.params.items()}
-    nn.save_checkpoint(best, ckpt)
+    nn.save_checkpoint(report.best_params, ckpt)
     sidecar = {
         "arch": mcfg.arch,
         "filter_scheme": list(mcfg.filter_scheme),

@@ -168,16 +168,18 @@ def write_pgm(plane, path) -> None:
 
 
 def write_probability_maps(model, samples, out_dir) -> list:
-    """Per-tile probability + label PGM pairs (segmentation figures analogue)."""
+    """Per-tile probability + label PGM pairs (segmentation figures
+    analogue), from predict_pixels' batched forward passes."""
     out_dir.mkdir(parents=True, exist_ok=True)
+    if not samples:
+        return []
+    probs, labels = predict_pixels(model, samples)
+    shape = (len(samples),) + samples[0].label.shape
     written = []
-    with nn.no_grad():
-        for i, s in enumerate(samples):
-            x = np.asarray(s.features, dtype=np.float64)[None]
-            logits = model.forward(x).data[0, 0]
-            prob_path = out_dir / f"prob_{i:04d}.pgm"
-            label_path = out_dir / f"label_{i:04d}.pgm"
-            write_pgm(nn.stable_sigmoid(logits), prob_path)
-            write_pgm(np.asarray(s.label, dtype=np.float64), label_path)
-            written.append((prob_path, label_path))
+    for i, (prob, label) in enumerate(zip(probs.reshape(shape), labels.reshape(shape))):
+        prob_path = out_dir / f"prob_{i:04d}.pgm"
+        label_path = out_dir / f"label_{i:04d}.pgm"
+        write_pgm(prob, prob_path)
+        write_pgm(label, label_path)
+        written.append((prob_path, label_path))
     return written

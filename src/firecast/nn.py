@@ -127,14 +127,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data + b.data, (a, b), back)
 
 
-def mul(a: Tensor, b) -> Tensor:
-    if not isinstance(b, Tensor):  # scalar
-        s = float(b)
-
-        def back_s(g):
-            _accumulate(a, g * s)
-
-        return _make(a.data * s, (a,), back_s)
+def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"mul: {a.shape} vs {b.shape}")
 

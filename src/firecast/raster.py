@@ -79,15 +79,6 @@ class GeoTransform:
         if not (math.isfinite(self.pixel_size) and self.pixel_size > 0):
             raise ValueError(f"pixel_size must be finite and > 0, got {self.pixel_size}")
 
-    def pixel_to_world(self, row, col):
-        return (self.origin_x + col * self.pixel_size,
-                self.origin_y + row * self.pixel_size)
-
-    def world_to_pixel(self, x, y):
-        """Fractional (row, col) of the world point; inverse of pixel_to_world."""
-        return ((y - self.origin_y) / self.pixel_size,
-                (x - self.origin_x) / self.pixel_size)
-
 
 @dataclass
 class RasterStack:

@@ -1,18 +1,24 @@
 """Turns a time-ordered stack collection into training datasets.
 
-Three task framings share one sampling pass over the label planes:
+The three task framings share one sampling rule. A task is a pair
+(ahead, frames): a sample's label plane is the OR of the fire masks of
+the `ahead` days after its feature day t, and its features are the
+`frames` days ending on t. With w = aggregation_window:
 
-  daily       features day t, label = next day's fire mask
-  aggregated  features day t, label = OR of the masks over days t+1..t+7
-  sequence    features days t-6..t, label as in aggregated
+  daily       (1, 1)  features day t, label = day t+1's fire mask
+  aggregated  (w, 1)  features day t, label = OR of days t+1..t+w
+  sequence    (w, w)  features days t-w+1..t, label as in aggregated
 
 Every task yields one Sample type: a daily or aggregated sample holds
 one [C,S,S] feature frame, a sequence sample [T,C,S,S] frames, one date
-per frame. Tiles are placed one per fire cluster (single-linkage chaining
-with a distance threshold), negatives are drawn uniformly from the same
-day's fire-free windows at a fixed ratio, and whole 7-day blocks are
-assigned to train/val/test with the last day of each block excluded so no
-two splits hold adjacent label days.
+per frame. Samples are views, not copies: a built sample's features view
+one [D,C,H,W] array of the stacks' channels and its label views its day's
+label plane, and a sample read from a WFDS file views the file's bytes.
+Tiles are placed one per fire cluster (single-linkage chaining with a
+distance threshold), negatives are drawn uniformly from the same day's
+fire-free windows at a fixed ratio, and whole 7-day blocks are assigned
+to train/val/test with the last day of each block excluded so no two
+splits hold adjacent label days.
 
 WFDS dataset files are little-endian, with no padding:
 
@@ -63,7 +69,7 @@ class NoFireFreeWindowError(RuntimeError):
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    tile_size: int = 128
+    tile_size: int = 32
     cluster_merge_distance: float = 10.0  # km
     negative_ratio: float = 2.0
     split_ratio: tuple[float, float, float] = (6.0, 1.0, 1.0)
@@ -79,6 +85,8 @@ class SamplerConfig:
             raise ValueError("negative_ratio must be >= 0")
         if any(r <= 0 for r in self.split_ratio):
             raise ValueError("split_ratio components must be positive")
+        if self.aggregation_window <= 0:
+            raise ValueError("aggregation_window must be > 0")
 
 
 @dataclass
@@ -107,7 +115,6 @@ def last_frame(samples) -> list[Sample]:
 @dataclass(frozen=True)
 class FireCluster:
     pixels: frozenset[tuple[int, int]]
-    date: datetime.date
 
     def centroid(self):
         rows, cols = zip(*self.pixels)
@@ -118,8 +125,7 @@ class FireCluster:
 # fire clustering
 # ---------------------------------------------------------------------------
 
-def find_fire_clusters(mask, geo: GeoTransform, merge_km: float,
-                       date=None) -> list[FireCluster]:
+def find_fire_clusters(mask, geo: GeoTransform, merge_km: float) -> list[FireCluster]:
     """Partition fire pixels (value 1) into single-linkage clusters.
 
     Two pixels share a cluster iff a chain of fire pixels connects them
@@ -179,7 +185,7 @@ def find_fire_clusters(mask, geo: GeoTransform, merge_km: float,
     members = np.argsort(label, kind="stable")
     bounds = np.concatenate(([0], np.cumsum(np.bincount(label))))
     pixels = list(zip(rows[members].tolist(), cols[members].tolist()))
-    return [FireCluster(frozenset(pixels[bounds[j]:bounds[j + 1]]), date)
+    return [FireCluster(frozenset(pixels[bounds[j]:bounds[j + 1]]))
             for j in order.tolist()]
 
 
@@ -214,11 +220,16 @@ def _window_origin(centroid, shape, tile):
     return (min(max(r, 0), h - tile), min(max(c, 0), w - tile))
 
 
-def _tile(stack, origin, t, split, kind) -> Sample:
-    """The t x t window at origin, copied out of the stack."""
+def _window(a, origin, t):
+    """A view of the t x t window at origin over a's last two axes."""
     r0, c0 = origin
-    return Sample(features=stack.channels[:, r0:r0 + t, c0:c0 + t].copy(),
-                  label=stack.fire_mask[r0:r0 + t, c0:c0 + t].copy(),
+    return a[..., r0:r0 + t, c0:c0 + t]
+
+
+def _tile(stack, origin, t, split, kind) -> Sample:
+    """The t x t window at origin, as views of the stack's arrays."""
+    return Sample(features=_window(stack.channels, origin, t),
+                  label=_window(stack.fire_mask, origin, t),
                   dates=(stack.date,), origin=origin, split=split, kind=kind)
 
 
@@ -314,10 +325,12 @@ def aggregate_masks(masks) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def build_dataset(stacks, cfg: SamplerConfig, task: str):
-    """Samples for every day with enough history and future, skipping
-    excluded label days. A day's tiles are placed on its own features; for
-    the sequence task each is then widened to the window's frames at the
-    same origin. Deterministic given (stacks, cfg.rng_seed)."""
+    """Samples for every feature day t with the task's `frames - 1` days
+    before it and `ahead` days after it, skipping days whose label day t+1
+    is excluded. A day's tiles are placed on its label plane. A sample's
+    features view its window of one [D, C, H, W] array of the stacks'
+    channels, day t or, for a sequence, days t-frames+1..t; its label
+    views the label plane. Deterministic given (stacks, cfg.rng_seed)."""
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
     stacks = list(stacks)
@@ -328,44 +341,29 @@ def build_dataset(stacks, cfg: SamplerConfig, task: str):
         if (b - a).days != 1:
             raise ValueError(f"stacks must cover consecutive dates, gap {a} -> {b}")
 
-    window = cfg.aggregation_window
+    w = cfg.aggregation_window
+    ahead, frames = {"daily": (1, 1), "aggregated": (w, 1), "sequence": (w, w)}[task]
     split_map = assign_splits(dates, cfg,
                               np.random.default_rng([cfg.rng_seed, _SPLIT_STREAM]))
+    scene = np.stack([s.channels for s in stacks])
     samples = []
-    n = len(stacks)
-    for i, stack in enumerate(stacks):
-        if task == "daily":
-            if i + 1 >= n:
-                continue
-            label_plane = stacks[i + 1].fire_mask
-        else:
-            if i + window >= n or (task == "sequence" and i - (window - 1) < 0):
-                continue
-            label_plane = aggregate_masks(
-                [stacks[i + k].fire_mask for k in range(1, window + 1)])
-        label_date = dates[i + 1]
-        split = split_map[label_date]
+    for i in range(frames - 1, len(stacks) - ahead):
+        split = split_map[dates[i + 1]]
         if split == "excluded":
             continue
-
-        clusters = find_fire_clusters(label_plane, stack.geo,
-                                      cfg.cluster_merge_distance, date=label_date)
-        paired = RasterStack(stack.date, stack.channel_names, stack.channels,
-                             label_plane, stack.geo)
-        pos = extract_positive_tiles(paired, clusters, cfg, split=split)
+        label_plane = aggregate_masks([s.fire_mask for s in stacks[i + 1:i + 1 + ahead]])
+        day = RasterStack(dates[i], stacks[i].channel_names, scene[i], label_plane,
+                          stacks[i].geo)
+        clusters = find_fire_clusters(label_plane, day.geo, cfg.cluster_merge_distance)
+        pos = extract_positive_tiles(day, clusters, cfg, split=split)
         neg_rng = np.random.default_rng(
-            [cfg.rng_seed, _NEGATIVE_STREAM, (stack.date - EPOCH).days])
-        neg = sample_negative_tiles(paired, len(pos), cfg, neg_rng, split=split)
-
-        day_samples = pos + neg
+            [cfg.rng_seed, _NEGATIVE_STREAM, (dates[i] - EPOCH).days])
+        day_samples = pos + sample_negative_tiles(day, len(pos), cfg, neg_rng, split=split)
         if task == "sequence":
-            frames = range(i - window + 1, i + 1)
-            t = cfg.tile_size
+            history = slice(i + 1 - frames, i + 1)
             day_samples = [
-                replace(s, features=np.stack([
-                    stacks[k].channels[:, s.origin[0]:s.origin[0] + t,
-                                       s.origin[1]:s.origin[1] + t]
-                    for k in frames]), dates=tuple(dates[k] for k in frames))
+                replace(s, features=_window(scene[history], s.origin, cfg.tile_size),
+                        dates=tuple(dates[history]))
                 for s in day_samples]
         samples.extend(day_samples)
     return samples
@@ -413,7 +411,8 @@ def write_dataset(samples, task: str, path) -> None:
 
 
 def read_dataset(path):
-    """Returns (samples, task); every sample must carry the same task."""
+    """Returns (samples, task); every sample must carry the same task. The
+    samples' arrays are read-only views of the file's bytes."""
     r = Reader(path, DATASET_MAGIC, DATASET_VERSION)
     (count,) = r.unpack(_COUNT)
     samples = []
@@ -431,8 +430,8 @@ def read_dataset(path):
         if t_steps == 0 or (t_steps != 1 and task != "sequence"):
             raise FormatError(f"{path}: sample {i} of task {task!r} has T = {t_steps}")
         frames = (t_steps,) if task == "sequence" else ()
-        feats = r.array("<f4", frames + (channels, tile, tile)).copy()
-        label = r.array(np.int8, (tile, tile)).copy()
+        feats = r.array("<f4", frames + (channels, tile, tile))
+        label = r.array(np.int8, (tile, tile))
         if label.tobytes().translate(None, _LABEL_BYTES):
             raise FormatError(f"{path}: sample {i} has a label outside {{-1, 0, 1}}")
         dates = tuple(r.date(days - k) for k in range(t_steps - 1, -1, -1))

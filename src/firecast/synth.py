@@ -26,7 +26,7 @@ START_DATE = datetime.date(2020, 1, 1)
 # weights favor hot/dry conditions (temp_max, drought, erc) and are damped
 # by moisture (humidity, precipitation); zero for wind direction
 DEFAULT_WEIGHTS = (0.6, 2.0, 0.8, -1.2, -1.6, 0.0, 0.8, 0.7, 2.2, 1.5)
-DEFAULT_BIAS = -7.0
+DEFAULT_BIAS = -12.0
 
 # rng sub-streams
 _ELEVATION = 10
@@ -37,9 +37,9 @@ _UNCERTAIN = 40
 
 @dataclass(frozen=True)
 class SynthConfig:
-    grid: tuple[int, int] = (192, 192)
+    grid: tuple[int, int] = (96, 96)
     days: int = 90
-    smoothing_radius: int = 4
+    smoothing_radius: int = 12
     fire_logit_weights: tuple[float, ...] = DEFAULT_WEIGHTS
     fire_bias: float = DEFAULT_BIAS
     uncertain_fraction: float = 0.02

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from firecast import cli
+from firecast import cli, sampler
 from firecast.cli import (
     EXIT_CONFIG,
     EXIT_ERROR,
@@ -203,6 +203,21 @@ def test_pipeline_smoke(tmp_path, capsys):
     maps = sorted((out / "maps").glob("*.pgm"))
     assert maps and len(maps) % 2 == 0
 
+    capsys.readouterr()
+
+
+def test_default_chain_runs_without_config(tmp_path, monkeypatch, capsys):
+    for name in [k for k in os.environ if k.startswith("WF_")]:
+        monkeypatch.delenv(name)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("synth") == EXIT_OK
+    assert run_cli("build-dataset") == EXIT_OK
+    out = tmp_path / "out"
+    assert len(list((out / "scenes").glob("*.wfrs"))) == 90
+    for split in sampler.SPLITS:
+        samples, task = sampler.read_dataset(out / f"daily_{split}.wfds")
+        assert task == "daily" and samples
+        assert samples[0].features.shape == (10, 32, 32)
     capsys.readouterr()
 
 

@@ -1,3 +1,4 @@
+import datetime
 import math
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from firecast import metrics
+from firecast import metrics, nn
+from firecast.models import ModelConfig, build
+from firecast.sampler import Sample
 from firecast.metrics import Counts, UndefinedAUCError, confusion, roc_auc, summarize
 
 
@@ -217,3 +220,29 @@ def test_eval_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0].startswith("auc,precision")
     assert lines[1].split(",")[0] == "1.0"
+
+
+@pytest.mark.parametrize("arch, frames", [("unet", ()), ("ae_lstm", (3,))])
+def test_batched_maps_equal_per_tile_forward(tmp_path, arch, frames):
+    # 40 tiles span two of predict_pixels' batches of 32
+    rng = np.random.default_rng(0)
+    model = build(ModelConfig(arch, (4, 8), in_channels=3, tile=16), rng)
+    samples = [Sample(features=rng.standard_normal(frames + (3, 16, 16)).astype(np.float32),
+                      label=rng.integers(-1, 2, size=(16, 16)).astype(np.int8),
+                      dates=(datetime.date(2020, 1, 1),), origin=(0, 0), split="test", kind="positive")
+               for _ in range(40)]
+    written = metrics.write_probability_maps(model, samples, tmp_path / "maps")
+    assert len(written) == len(samples)
+    with nn.no_grad():
+        for s, (prob_path, label_path) in zip(samples, written):
+            logits = model.forward(s.features[None].astype(np.float64)).data[0, 0]
+            metrics.write_pgm(nn.stable_sigmoid(logits), tmp_path / "prob.pgm")
+            metrics.write_pgm(s.label, tmp_path / "label.pgm")
+            assert prob_path.read_bytes() == (tmp_path / "prob.pgm").read_bytes()
+            assert label_path.read_bytes() == (tmp_path / "label.pgm").read_bytes()
+
+
+def test_no_maps_for_no_samples(tmp_path):
+    model = build(ModelConfig("autoencoder", (4,), in_channels=3, tile=8),
+                  np.random.default_rng(0))
+    assert metrics.write_probability_maps(model, [], tmp_path / "maps") == []

@@ -193,7 +193,7 @@ def test_cluster_output_order_deterministic():
 # --- positive tiles ----------------------------------------------------------------
 
 def centered_cluster(r, c):
-    return FireCluster(frozenset({(r, c)}), D0)
+    return FireCluster(frozenset({(r, c)}))
 
 
 def test_tile_centered_on_centroid():
@@ -486,6 +486,33 @@ def test_sequence_sample_shape_and_dates():
         assert s.date == s.dates[-1]
 
 
+def test_daily_is_aggregated_over_one_day():
+    stacks = scene_series(12, seed=3)
+    daily = build_dataset(stacks, small_cfg(), "daily")
+    one_day = build_dataset(stacks, small_cfg(aggregation_window=1), "aggregated")
+    assert daily and len(daily) == len(one_day)
+    for a, b in zip(daily, one_day):
+        assert (a.dates, a.origin, a.split, a.kind) == (b.dates, b.origin, b.split, b.kind)
+        np.testing.assert_array_equal(a.features, b.features)
+        np.testing.assert_array_equal(a.label, b.label)
+
+
+def test_samples_are_views(tmp_path):
+    stacks = scene_series(16, seed=7)
+    samples = build_dataset(stacks, small_cfg(), "sequence")
+    assert samples
+    scene = samples[0].features.base
+    assert scene.shape == (16, 3, 160, 160)
+    for s in samples:
+        assert s.features.base is scene
+        assert not s.label.flags.owndata
+    p = tmp_path / "s.wfds"
+    write_dataset(samples, "sequence", p)
+    for s in read_dataset(p)[0]:
+        assert not s.features.flags.owndata and not s.features.flags.writeable
+        assert not s.label.flags.owndata and not s.label.flags.writeable
+
+
 def test_negative_to_positive_ratio_per_day():
     stacks = scene_series(12, seed=4)
     samples = build_dataset(stacks, small_cfg(), "daily")
@@ -517,6 +544,12 @@ def test_build_rejects_gapped_dates():
     stacks.pop(2)
     with pytest.raises(ValueError):
         build_dataset(stacks, small_cfg(), "daily")
+
+
+def test_config_rejects_empty_label_window():
+    for window in (0, -2):
+        with pytest.raises(ValueError, match="aggregation_window"):
+            small_cfg(aggregation_window=window)
 
 
 def test_build_rejects_unknown_task():
