@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, nn, raster, sampler, synth, training
-from .config import ConfigError, RunConfig, apply_sweep_point, load_config
-from .models import ARCH_SPECS, CLI_NAMES, ModelConfig, build, resolve_arch
+from .config import FLAG_KEYS, ConfigError, RunConfig, load_config
+from .models import ARCH_SPECS, CLI_NAMES, ModelConfig, build
 from .sampler import SPLITS, TASKS
 
 EXIT_OK = 0
@@ -82,9 +82,7 @@ def _model_from_checkpoint(path):
     if not sidecar.exists():
         raise FileNotFoundError(f"checkpoint sidecar not found: {sidecar}")
     meta = json.loads(sidecar.read_text())
-    cfg = ModelConfig(arch=meta["arch"], filter_scheme=tuple(meta["filter_scheme"]),
-                      in_channels=meta["in_channels"], tile=meta["tile"],
-                      lstm_hidden=meta["lstm_hidden"])
+    cfg = ModelConfig(**{f.name: meta[f.name] for f in dataclasses.fields(ModelConfig)})
     model = build(cfg, np.random.default_rng(0))
     model.load_params(nn.load_checkpoint(path))
     return model
@@ -120,9 +118,11 @@ def cmd_build_dataset(cfg: RunConfig, out: Path) -> int:
     if not train_stacks:
         raise ValueError("no stacks fall in the train split; need more days")
     stats = raster.compute_stats(train_stacks)
-    normalized = [raster.normalize(s, stats) for s in stacks]
+    # keep no raw stack once normalized: two copies of the channels, not three
+    del train_stacks
+    stacks = [raster.normalize(s, stats) for s in stacks]
 
-    samples = sampler.build_dataset(normalized, scfg, cfg.task)
+    samples = sampler.build_dataset(stacks, scfg, cfg.task)
     subsets = sampler.split_subsets(samples)
     out.mkdir(parents=True, exist_ok=True)
     counts = {}
@@ -142,34 +142,29 @@ def cmd_build_dataset(cfg: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def _train_once(cfg: RunConfig, train_data, val_data):
+def _model_config(cfg: RunConfig, train_data) -> ModelConfig:
     first = train_data[0].features
-    tile = int(first.shape[-1])
-    in_channels = int(first.shape[-3])
-    mcfg = cfg.model_config(tile=tile, in_channels=in_channels)
+    mcfg = cfg.model_config(tile=int(first.shape[-1]), in_channels=int(first.shape[-3]))
     _check_task_arch(cfg.task, mcfg.arch)
+    return mcfg
+
+
+def _train(cfg: RunConfig, mcfg: ModelConfig, train_data, val_data):
     model = build(mcfg, np.random.default_rng([cfg.run["init_seed"], _INIT_STREAM]))
-    report = training.train(model, train_data, val_data, cfg.train)
-    return model, mcfg, report
+    return training.train(model, train_data, val_data, cfg.train)
 
 
 def cmd_train(cfg: RunConfig, out: Path) -> int:
     data_dir = _data_dir(cfg, out)
     train_data = _read_split(data_dir, cfg.task, "train")
     val_data = _read_split(data_dir, cfg.task, "val")
-    _, mcfg, report = _train_once(cfg, train_data, val_data)
+    mcfg = _model_config(cfg, train_data)
+    report = _train(cfg, mcfg, train_data, val_data)
 
     out.mkdir(parents=True, exist_ok=True)
     ckpt = out / "checkpoint.wfck"
     nn.save_checkpoint(report.best_params, ckpt)
-    sidecar = {
-        "arch": mcfg.arch,
-        "filter_scheme": list(mcfg.filter_scheme),
-        "in_channels": mcfg.in_channels,
-        "tile": mcfg.tile,
-        "lstm_hidden": mcfg.lstm_hidden,
-        "task": cfg.task,
-    }
+    sidecar = dataclasses.asdict(mcfg) | {"task": cfg.task}
     ckpt.with_suffix(".json").write_text(
         json.dumps(sidecar, sort_keys=True, indent=1) + "\n")
     report.write_csv(out / "report.csv")
@@ -206,19 +201,18 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     train_data = _read_split(data_dir, cfg.task, "train")
     val_data = _read_split(data_dir, cfg.task, "val")
 
-    keys = sorted(cfg.sweep)
+    # every point's model is checked against the data before any trains
+    mcfgs = [_model_config(point_cfg, train_data) for _, point_cfg in cfg.sweep]
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for combo in itertools.product(*(cfg.sweep[k] for k in keys)):
-        point = dict(zip(keys, combo))
-        run_cfg = apply_sweep_point(cfg, point)
-        _, _, report = _train_once(run_cfg, train_data, val_data)
-        rows.append(list(combo) + [repr(report.best_val_auc), report.best_epoch])
+    for (point, point_cfg), mcfg in zip(cfg.sweep, mcfgs):
+        report = _train(point_cfg, mcfg, train_data, val_data)
+        rows.append(list(point.values()) + [repr(report.best_val_auc), report.best_epoch])
         print("sweep: " + ", ".join(f"{k}={v}" for k, v in point.items())
               + f" -> val AUC {report.best_val_auc:.4f}")
     with open(out / "sweep.csv", "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(keys + ["best_val_auc", "best_epoch"])
+        writer.writerow(list(cfg.sweep[0][0]) + ["best_val_auc", "best_epoch"])
         writer.writerows(rows)
     print(f"sweep: {len(rows)} rows -> {out / 'sweep.csv'}")
     return EXIT_OK
@@ -243,29 +237,21 @@ def make_parser():
     for name in _VERBS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="key=value config file")
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", default=None,
                        help="override every rng seed in the config")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--task", default=None, choices=TASKS)
         p.add_argument("--model", default=None, choices=CLI_NAMES)
-        p.add_argument("--threshold", type=float, default=None)
+        p.add_argument("--threshold", default=None)
     return parser
 
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
+    flags = {flag: value for flag in FLAG_KEYS
+             if (value := getattr(args, flag[2:])) is not None}
     try:
-        cfg = load_config(args.config)
-        if args.task:
-            cfg.run["task"] = args.task
-        if args.model:
-            cfg.run["arch"] = resolve_arch(args.model)
-        if args.out:
-            cfg.run["out"] = args.out
-        if args.threshold is not None:
-            cfg.run["threshold"] = args.threshold
-        if args.seed is not None:
-            cfg.override_seed(args.seed)
+        cfg = load_config(args.config, flags=flags)
         out = Path(cfg.run["out"])
         return _VERBS[args.verb](cfg, out)
     except ConfigError as e:

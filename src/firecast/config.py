@@ -1,5 +1,6 @@
 """Run configuration: a sectioned key=value file validated against a
-schema, with WF_-prefixed environment overrides.
+schema, with WF_-prefixed environment overrides, CLI flags and a [sweep]
+grid.
 
 Example:
 
@@ -20,17 +21,21 @@ Example:
     [sweep]
     train.positive_weight = 1, 3
 
-Environment variables override file values as WF_<SECTION>_<KEY>, e.g.
-WF_TRAIN_EPOCHS=5. Unknown sections or keys are rejected. [model] arch
-takes an architecture's name or its CLI spelling, as listed in
-models.ARCH_SPECS.
+Each setting comes from the last layer that gives it: file < environment
+as WF_<SECTION>_<KEY> (e.g. WF_TRAIN_EPOCHS=5) < CLI flags (--seed N sets
+all four seeds) < sweep point. All layers parse through one schema, and
+an error names its source. Unknown sections or keys are rejected. [model]
+arch takes an architecture's name or its CLI spelling, as listed in
+models.ARCH_SPECS. [sweep] takes model.* and train.* keys, the only
+sections train reads; every point is checked at load, before any trains.
 """
 
 from __future__ import annotations
 
 import configparser
+import itertools
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .models import ModelConfig, resolve_arch
 from .sampler import TASKS, SamplerConfig
@@ -38,6 +43,19 @@ from .synth import SynthConfig
 from .training import TrainConfig
 
 ENV_PREFIX = "WF_"
+
+# each CLI flag and the settings it sets
+FLAG_KEYS = {
+    "--task": (("run", "task"),),
+    "--model": (("model", "arch"),),
+    "--out": (("run", "out"),),
+    "--threshold": (("run", "threshold"),),
+    "--seed": (("sampler", "rng_seed"), ("model", "init_seed"),
+               ("train", "rng_seed"), ("synth", "rng_seed")),
+}
+
+# the sections the train verb reads, so the only ones a sweep can vary
+_SWEEP_SECTIONS = ("model", "train")
 
 
 class ConfigError(ValueError):
@@ -130,7 +148,7 @@ class RunConfig:
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     synth: SynthConfig = field(default_factory=SynthConfig)
-    sweep: dict = field(default_factory=dict)  # dotted key -> list of raw values
+    sweep: list = field(default_factory=list)  # (raw point, RunConfig) per grid point
 
     @property
     def task(self):
@@ -141,105 +159,95 @@ class RunConfig:
         return self.run["arch"]
 
     def model_config(self, tile, in_channels=10) -> ModelConfig:
-        return ModelConfig(
-            arch=self.run["arch"],
-            filter_scheme=self.run["filter_scheme"],
-            in_channels=in_channels,
-            tile=tile,
-            lstm_hidden=self.run["lstm_hidden"],
-        )
-
-    def override_seed(self, seed: int):
-        """CLI --seed: one seed drives sampling, init, training, and synth."""
-        self.sampler = replace(self.sampler, rng_seed=seed)
-        self.train = replace(self.train, rng_seed=seed)
-        self.synth = replace(self.synth, rng_seed=seed)
-        self.run["init_seed"] = seed
+        return ModelConfig(arch=self.arch, filter_scheme=self.run["filter_scheme"],
+                           in_channels=in_channels, tile=tile,
+                           lstm_hidden=self.run["lstm_hidden"])
 
 
-def _validated_sections(parser: configparser.ConfigParser):
-    values = {}
-    for section in parser.sections():
-        if section == "sweep":
-            continue
+def _read_file(path):
+    """The file's sections as section -> {key: raw text}."""
+    if not os.path.exists(path):
+        raise FileNotFoundError(f"config file not found: {path}")
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    try:
+        with open(path) as f:
+            parser.read_file(f)
+        return {section: dict(parser[section]) for section in parser.sections()}
+    except configparser.Error as e:
+        raise ConfigError(f"malformed config file: {e}") from e
+
+
+def _layers(path, env, flags):
+    """Each setting's (source label, raw text), later layers overriding
+    earlier ones, and the [sweep] grid's axes: per key, in sorted order, a
+    (setting, (label, raw text)) for each listed value."""
+    sections = _read_file(path) if path is not None else {}
+    sweep = []
+    for dotted, text in sorted(sections.pop("sweep", {}).items()):
+        section, _, key = dotted.partition(".")
+        if key not in _SCHEMA.get(section, ()):
+            raise ConfigError(f"unknown sweep key {dotted!r}")
+        if section not in _SWEEP_SECTIONS:
+            raise ConfigError(f"sweep key {dotted!r} is outside [model] and [train], "
+                              "the only sections train reads")
+        sweep.append([((section, key), (f"[sweep] {dotted}", v.strip()))
+                      for v in text.split(",") if v.strip()])
+    raw = {}
+    for section, items in sections.items():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
-        for key, raw in parser[section].items():
+        for key, text in items.items():
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            try:
-                values[(section, key)] = _SCHEMA[section][key](raw)
-            except ValueError as e:
-                raise ConfigError(f"bad value for [{section}] {key}: {e}") from e
-    return values
-
-
-def _apply_env(values, env):
+            raw[(section, key)] = (f"[{section}] {key}", text)
     for section, keys in _SCHEMA.items():
         for key in keys:
             name = f"{ENV_PREFIX}{section.upper()}_{key.upper()}"
             if name in env:
-                try:
-                    values[(section, key)] = keys[key](env[name])
-                except ValueError as e:
-                    raise ConfigError(f"bad value for env {name}: {e}") from e
+                raw[(section, key)] = (f"env {name}", env[name])
+    for flag, text in flags.items():
+        for setting in FLAG_KEYS[flag]:
+            raw[setting] = (flag, text)
+    return raw, sweep
+
+
+def _parsed(raw):
+    """Each setting's value, parsed from its raw text through _SCHEMA."""
+    values = {}
+    for (section, key), (label, text) in raw.items():
+        try:
+            values[(section, key)] = _SCHEMA[section][key](text)
+        except ValueError as e:
+            raise ConfigError(f"bad value for {label}: {e}") from e
     return values
 
 
-def load_config(path=None, env=None) -> RunConfig:
-    """Parse, validate, and assemble a RunConfig. path=None uses defaults
-    (plus environment overrides), for verbs driven entirely by flags."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    sweep = {}
-    if path is not None:
-        if not os.path.exists(path):
-            raise FileNotFoundError(f"config file not found: {path}")
-        with open(path) as f:
-            parser.read_file(f)
-        if parser.has_section("sweep"):
-            for key, raw in parser["sweep"].items():
-                section, _, subkey = key.partition(".")
-                if section not in _SCHEMA or subkey not in _SCHEMA[section]:
-                    raise ConfigError(f"unknown sweep key {key!r}")
-                sweep[key] = [v.strip() for v in raw.split(",") if v.strip()]
-
-    values = _validated_sections(parser)
-    values = _apply_env(values, os.environ if env is None else env)
-
+def _assemble(values, where="") -> RunConfig:
+    """The RunConfig for parsed settings over the defaults."""
     run = dict(_RUN_DEFAULTS)
-    for (section, key), v in values.items():
-        if section in ("run", "model"):
-            run[key] = v
-
-    def section_kwargs(name):
-        return {key: v for (s, key), v in values.items() if s == name}
-
-    try:
-        cfg = RunConfig(
-            run=run,
-            sampler=SamplerConfig(**section_kwargs("sampler")),
-            train=TrainConfig(**section_kwargs("train")),
-            synth=SynthConfig(**section_kwargs("synth")),
-            sweep=sweep,
-        )
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
-    return cfg
-
-
-def apply_sweep_point(cfg: RunConfig, point: dict) -> RunConfig:
-    """Return a copy of cfg with dotted sweep keys set to parsed values."""
-    out = RunConfig(run=dict(cfg.run), sampler=cfg.sampler, train=cfg.train,
-                    synth=cfg.synth, sweep={})
-    for dotted, raw in point.items():
-        section, _, key = dotted.partition(".")
-        parsed = _SCHEMA[section][key](raw)
-        if section == "train":
-            out.train = replace(out.train, **{key: parsed})
-        elif section == "sampler":
-            out.sampler = replace(out.sampler, **{key: parsed})
-        elif section == "synth":
-            out.synth = replace(out.synth, **{key: parsed})
+    kwargs = {"sampler": {}, "train": {}, "synth": {}}
+    for (section, key), value in values.items():
+        if section in kwargs:
+            kwargs[section][key] = value
         else:
-            out.run[key] = parsed
-    return out
+            run[key] = value
+    try:
+        return RunConfig(run=run, sampler=SamplerConfig(**kwargs["sampler"]),
+                         train=TrainConfig(**kwargs["train"]),
+                         synth=SynthConfig(**kwargs["synth"]))
+    except ValueError as e:
+        raise ConfigError(f"{where}{e}") from e
+
+
+def load_config(path=None, env=None, flags=None) -> RunConfig:
+    """Parse, validate, and assemble a RunConfig and each of its sweep
+    points. path=None uses defaults (plus environment and flags), for verbs
+    driven entirely by flags; flags maps a FLAG_KEYS flag to its raw text."""
+    raw, sweep = _layers(path, os.environ if env is None else env, flags or {})
+    values = _parsed(raw)
+    cfg = _assemble(values)
+    for combo in itertools.product(*sweep) if sweep else ():
+        point = {".".join(setting): text for setting, (_, text) in combo}
+        cfg.sweep.append((point, _assemble(values | _parsed(dict(combo)),
+                                           f"sweep point {point}: ")))
+    return cfg

@@ -83,6 +83,8 @@ class SamplerConfig:
             raise ValueError("cluster_merge_distance must be > 0")
         if self.negative_ratio < 0:
             raise ValueError("negative_ratio must be >= 0")
+        if len(self.split_ratio) != len(SPLITS):
+            raise ValueError(f"split_ratio needs {len(SPLITS)} entries, one per split")
         if any(r <= 0 for r in self.split_ratio):
             raise ValueError("split_ratio components must be positive")
         if self.aggregation_window <= 0:

@@ -52,6 +52,8 @@ class SynthConfig:
             raise ValueError("uncertain_fraction must be in [0, 1)")
         if self.smoothing_radius < 0:
             raise ValueError("smoothing_radius must be >= 0")
+        if len(self.grid) != 2:
+            raise ValueError("grid needs 2 entries, height and width")
         if self.days <= 0 or min(self.grid) <= 0:
             raise ValueError("grid and days must be positive")
 

@@ -138,6 +138,9 @@ def train(model, train_data, val_data, cfg: TrainConfig) -> TrainReport:
             x, y = _collate(batch)
             logits = model.forward(x)
             loss = weighted_bce(logits, y, cfg.positive_weight)
+            if not np.isfinite(loss.item()):
+                raise FloatingPointError(f"non-finite training loss at epoch {epoch}, "
+                                         f"batch {lo // cfg.batch_size + 1}")
             for p in params.values():
                 p.grad = None
             nn.backward(loss)

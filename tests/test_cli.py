@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -80,11 +81,24 @@ def test_unknown_section_rejected(tmp_path):
         load_config(path)
 
 
+# config files that must be rejected as config errors
+BAD_CONFIGS = [
+    "[train]\nepochs = soon\n",
+    "[run]\ntask = yearly\n",
+    "[train]\nepochs = 3\n\n[train]\nbatch_size = 4\n",  # duplicate section
+    "[train]\nepochs = 3\nepochs = 4\n",  # duplicate key
+    "epochs = 3\n",  # no section header
+    "[sampler]\nsplit_ratio = 6, 1\n",
+    "[synth]\ngrid = 96, 96, 96\n",
+]
+
+
 def test_bad_value_rejected(tmp_path):
     path = tmp_path / "bad.cfg"
-    path.write_text("[train]\nepochs = soon\n")
-    with pytest.raises(ConfigError):
-        load_config(path)
+    for text in BAD_CONFIGS:
+        path.write_text(text)
+        with pytest.raises(ConfigError):
+            load_config(path)
 
 
 def test_env_override(tmp_path):
@@ -151,14 +165,41 @@ def test_task_arch_check_grid():
     assert (passed, raised) == (6, 6)
 
 
-def test_seed_override_propagates(tmp_path):
+def test_seed_override_propagates(tmp_path, monkeypatch):
     path, _ = write_config(tmp_path)
-    cfg = load_config(path)
-    cfg.override_seed(99)
+    seen = []
+    monkeypatch.setitem(cli._VERBS, "train", lambda cfg, out: seen.append(cfg) or EXIT_OK)
+    assert run_cli("train", "--config", path, "--seed", 99) == EXIT_OK
+    [cfg] = seen
     assert cfg.sampler.rng_seed == 99
     assert cfg.train.rng_seed == 99
     assert cfg.synth.rng_seed == 99
     assert cfg.run["init_seed"] == 99
+
+
+def test_layers_override_in_order(tmp_path):
+    """file < environment < flags < sweep point"""
+    path, _ = write_config(tmp_path, text=SMALL_CONFIG + "\n[sweep]\ntrain.epochs = 4\n")
+    env = {"WF_TRAIN_EPOCHS": "3", "WF_TRAIN_RNG_SEED": "7", "WF_RUN_THRESHOLD": "0.2"}
+    cfg = load_config(path, env=env, flags={"--seed": "5", "--threshold": "0.3"})
+    assert (cfg.train.epochs, cfg.train.rng_seed, cfg.run["threshold"]) == (3, 5, 0.3)
+    [(point, point_cfg)] = cfg.sweep
+    assert point == {"train.epochs": "4"}
+    assert (point_cfg.train.epochs, point_cfg.train.rng_seed) == (4, 5)
+    assert point_cfg.run["threshold"] == 0.3
+
+
+def test_bad_values_name_their_source(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_text("[train]\nepochs = soon\n")
+    sweep = tmp_path / "sweep.cfg"
+    sweep.write_text("[sweep]\ntrain.epochs = 1, soon\n")
+    for kwargs, label in [({"path": path}, "[train] epochs"),
+                          ({"env": {"WF_TRAIN_EPOCHS": "soon"}}, "env WF_TRAIN_EPOCHS"),
+                          ({"flags": {"--threshold": "high"}}, "--threshold"),
+                          ({"path": sweep}, "[sweep] train.epochs")]:
+        with pytest.raises(ConfigError, match=f"^bad value for {re.escape(label)}: "):
+            load_config(**({"env": {}} | kwargs))
 
 
 # --- verbs -------------------------------------------------------------------------
@@ -173,8 +214,9 @@ def test_missing_config_file_exit_code(tmp_path):
 
 def test_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.cfg"
-    bad.write_text("[run]\ntask = yearly\n")
-    assert run_cli("synth", "--config", bad) == EXIT_CONFIG
+    for text in BAD_CONFIGS:
+        bad.write_text(text)
+        assert run_cli("synth", "--config", bad) == EXIT_CONFIG, text
 
 
 def test_pipeline_smoke(tmp_path, capsys):
@@ -262,6 +304,25 @@ def test_sweep_without_section_is_config_error(tmp_path):
     run_cli("synth", "--config", path)
     run_cli("build-dataset", "--config", path)
     assert run_cli("sweep", "--config", path) == EXIT_CONFIG
+
+
+def test_bad_sweep_rejected_before_training(tmp_path, capsys):
+    """A bad point value, or a key from a section train does not read, is
+    a config error, and a point's model that does not fit the task a
+    mismatch, before the first point trains."""
+    path, out = write_config(tmp_path)
+    run_cli("synth", "--config", path)
+    run_cli("build-dataset", "--config", path)
+    for sweep, code in [("train.epochs = 1, 0", EXIT_CONFIG),
+                        ("train.epochs = 1, soon", EXIT_CONFIG),
+                        ("sampler.tile_size = 16, 32", EXIT_CONFIG),
+                        ("run.task = daily, sequence", EXIT_CONFIG),
+                        ("model.arch = unet, ae-lstm", EXIT_MISMATCH)]:
+        write_config(tmp_path, text=SMALL_CONFIG + f"\n[sweep]\n{sweep}\n")
+        capsys.readouterr()
+        assert run_cli("sweep", "--config", path) == code, sweep
+        assert "sweep:" not in capsys.readouterr().out
+        assert not (out / "sweep.csv").exists()
 
 
 def test_verbs_do_not_mutate_inputs(tmp_path):
