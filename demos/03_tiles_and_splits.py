@@ -40,7 +40,7 @@ for i in range(0, len(days), 7):
     print(f"  week {i // 7}: " + " ".join(f"{s:8s}" for s in week))
 
 for task in ("daily", "aggregated", "sequence"):
-    samples = build_dataset(stacks, cfg, task)
+    samples, _ = build_dataset(stacks, cfg, task)
     kinds = Counter(s.kind for s in samples)
     splits = Counter(s.split for s in samples)
     shape = samples[0].features.shape if samples else None

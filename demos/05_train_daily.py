@@ -9,13 +9,7 @@ import numpy as np
 
 from firecast.metrics import evaluate, roc_auc
 from firecast.models import ModelConfig, build
-from firecast.raster import compute_stats, normalize
-from firecast.sampler import (
-    SamplerConfig,
-    assign_splits,
-    build_dataset,
-    split_subsets,
-)
+from firecast.sampler import SamplerConfig, build_dataset, split_subsets
 from firecast.synth import SynthConfig, fire_logit, gen_scenes
 from firecast.training import TrainConfig, train
 
@@ -25,12 +19,9 @@ synth_cfg = SynthConfig(grid=(96, 96), days=70, rng_seed=1, smoothing_radius=12,
 stacks = gen_scenes(synth_cfg)
 cfg = SamplerConfig(tile_size=32, rng_seed=1)
 
-split_map = assign_splits([s.date for s in stacks], cfg,
-                          np.random.default_rng([cfg.rng_seed, 1]))
-train_stacks = [s for s in stacks if split_map[s.date] == "train"]
-stats = compute_stats(train_stacks)
-normalized = [normalize(s, stats) for s in stacks]
-subsets = split_subsets(build_dataset(normalized, cfg, "daily"))
+# z-scored with the train-split days' channel stats
+samples, _ = build_dataset(stacks, cfg, "daily")
+subsets = split_subsets(samples)
 print("samples:", {k: len(v) for k, v in subsets.items()})
 
 model = build(ModelConfig("autoencoder", (8, 16), tile=32),

@@ -60,6 +60,15 @@ class Reader:
         start = self._advance(n)
         return self._data[start:start + n]
 
+    def text(self, n: int) -> str:
+        """The next n bytes decoded as UTF-8."""
+        start = self._advance(n)
+        try:
+            return self._data[start:start + n].decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{self.path}: {n} bytes at offset {start} "
+                              "are not UTF-8 text") from None
+
     def unpack(self, fmt):
         """Unpack a struct.Struct at the cursor."""
         return fmt.unpack_from(self._data, self._advance(fmt.size))

@@ -110,19 +110,7 @@ def cmd_synth(cfg: RunConfig, out: Path) -> int:
 
 def cmd_build_dataset(cfg: RunConfig, out: Path) -> int:
     stacks = _load_stacks(_scenes_dir(cfg, out))
-    scfg = cfg.sampler
-    split_map = sampler.assign_splits(
-        [s.date for s in stacks], scfg,
-        np.random.default_rng([scfg.rng_seed, sampler._SPLIT_STREAM]))
-    train_stacks = [s for s in stacks if split_map[s.date] == "train"]
-    if not train_stacks:
-        raise ValueError("no stacks fall in the train split; need more days")
-    stats = raster.compute_stats(train_stacks)
-    # keep no raw stack once normalized: two copies of the channels, not three
-    del train_stacks
-    stacks = [raster.normalize(s, stats) for s in stacks]
-
-    samples = sampler.build_dataset(stacks, scfg, cfg.task)
+    samples, stats = sampler.build_dataset(stacks, cfg.sampler, cfg.task)
     subsets = sampler.split_subsets(samples)
     out.mkdir(parents=True, exist_ok=True)
     counts = {}

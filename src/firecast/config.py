@@ -26,14 +26,17 @@ as WF_<SECTION>_<KEY> (e.g. WF_TRAIN_EPOCHS=5) < CLI flags (--seed N sets
 all four seeds) < sweep point. All layers parse through one schema, and
 an error names its source. Unknown sections or keys are rejected. [model]
 arch takes an architecture's name or its CLI spelling, as listed in
-models.ARCH_SPECS. [sweep] takes model.* and train.* keys, the only
-sections train reads; every point is checked at load, before any trains.
+models.ARCH_SPECS. Float settings must be finite. [sweep] takes model.*
+and train.* keys, the only sections train reads, but no list-valued key
+(model.filter_scheme), since its values are split on commas; every point
+is checked at load, before any trains.
 """
 
 from __future__ import annotations
 
 import configparser
 import itertools
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -77,12 +80,30 @@ def _parse_arch(raw):
     return resolve_arch(raw.strip().lower())
 
 
+def _parse_float(raw):
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {raw.strip()!r}")
+    return value
+
+
+def _parse_count(raw):
+    value = int(raw)
+    if value < 0:
+        raise ValueError(f"must be >= 0, got {value}")
+    return value
+
+
 def _parse_ints(raw):
     return tuple(int(v.strip()) for v in raw.split(",") if v.strip())
 
 
 def _parse_floats(raw):
-    return tuple(float(v.strip()) for v in raw.split(",") if v.strip())
+    return tuple(_parse_float(v) for v in raw.split(",") if v.strip())
+
+
+# parsers of comma-separated lists, whose values a [sweep] list cannot hold
+_LIST_PARSERS = (_parse_ints, _parse_floats)
 
 
 _SCHEMA = {
@@ -92,13 +113,13 @@ _SCHEMA = {
         "stacks": _parse_str,
         "data": _parse_str,
         "checkpoint": _parse_str,
-        "threshold": float,
-        "max_maps": int,
+        "threshold": _parse_float,
+        "max_maps": _parse_count,
     },
     "sampler": {
         "tile_size": int,
-        "cluster_merge_distance": float,
-        "negative_ratio": float,
+        "cluster_merge_distance": _parse_float,
+        "negative_ratio": _parse_float,
         "split_ratio": _parse_floats,
         "aggregation_window": int,
         "rng_seed": int,
@@ -112,8 +133,8 @@ _SCHEMA = {
     "train": {
         "epochs": int,
         "batch_size": int,
-        "learning_rate": float,
-        "positive_weight": float,
+        "learning_rate": _parse_float,
+        "positive_weight": _parse_float,
         "rng_seed": int,
     },
     "synth": {
@@ -121,8 +142,8 @@ _SCHEMA = {
         "days": int,
         "smoothing_radius": int,
         "fire_logit_weights": _parse_floats,
-        "fire_bias": float,
-        "uncertain_fraction": float,
+        "fire_bias": _parse_float,
+        "uncertain_fraction": _parse_float,
         "rng_seed": int,
     },
 }
@@ -190,6 +211,9 @@ def _layers(path, env, flags):
         if section not in _SWEEP_SECTIONS:
             raise ConfigError(f"sweep key {dotted!r} is outside [model] and [train], "
                               "the only sections train reads")
+        if _SCHEMA[section][key] in _LIST_PARSERS:
+            raise ConfigError(f"sweep key {dotted!r} takes a list, and a [sweep] "
+                              "list cannot hold lists")
         sweep.append([((section, key), (f"[sweep] {dotted}", v.strip()))
                       for v in text.split(",") if v.strip()])
     raw = {}

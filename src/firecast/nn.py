@@ -403,7 +403,7 @@ def load_checkpoint(path) -> dict:
     (count,) = r.unpack(_COUNT)
     out = {}
     for _ in range(count):
-        name = r.take(r.unpack(_NAME_LEN)[0]).decode("utf-8")
+        name = r.text(r.unpack(_NAME_LEN)[0])
         if name in out:
             raise FormatError(f"{path}: parameter {name!r} appears twice")
         rank = r.take(1)[0]

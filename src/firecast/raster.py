@@ -190,7 +190,7 @@ def read_stack(path) -> RasterStack:
     if height * width * max(n_channels, 1) > _MAX_ELEMENTS:
         raise DimensionError(
             f"{path}: {n_channels} channels of {height}x{width} exceeds the element cap")
-    names = tuple(r.take(r.take(1)[0]).decode("utf-8") for _ in range(n_channels))
+    names = tuple(r.text(r.take(1)[0]) for _ in range(n_channels))
     channels = r.array("<f4", (n_channels, height, width)).copy()
     fire_mask = r.array(np.int8, (height, width)).copy()
     days, ox, oy, ps = r.unpack(_TRAILER)

@@ -12,8 +12,9 @@ the `ahead` days after its feature day t, and its features are the
 Every task yields one Sample type: a daily or aggregated sample holds
 one [C,S,S] feature frame, a sequence sample [T,C,S,S] frames, one date
 per frame. Samples are views, not copies: a built sample's features view
-one [D,C,H,W] array of the stacks' channels and its label views its day's
-label plane, and a sample read from a WFDS file views the file's bytes.
+one [D,C,H,W] array of the stacks' channels, z-scored with the channel
+stats of the train-split days only, and its label views its day's label
+plane, and a sample read from a WFDS file views the file's bytes.
 Tiles are placed one per fire cluster (single-linkage chaining with a
 distance threshold), negatives are drawn uniformly from the same day's
 fire-free windows at a fixed ratio, and whole 7-day blocks are assigned
@@ -43,6 +44,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import raster
 from .binio import EPOCH, FormatError, Reader
 from .raster import GeoTransform, RasterStack, box_sums
 
@@ -327,12 +329,13 @@ def aggregate_masks(masks) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def build_dataset(stacks, cfg: SamplerConfig, task: str):
-    """Samples for every feature day t with the task's `frames - 1` days
-    before it and `ahead` days after it, skipping days whose label day t+1
-    is excluded. A day's tiles are placed on its label plane. A sample's
-    features view its window of one [D, C, H, W] array of the stacks'
-    channels, day t or, for a sequence, days t-frames+1..t; its label
-    views the label plane. Deterministic given (stacks, cfg.rng_seed)."""
+    """(samples, stats): samples for every feature day t with the task's
+    `frames - 1` days before it and `ahead` days after it, skipping days
+    whose label day t+1 is excluded, and the train-split days' channel
+    stats. A day's tiles are placed on its label plane. A sample's features
+    view its window of one [D, C, H, W] array of the channels z-scored with
+    stats, day t or, for a sequence, days t-frames+1..t; its label views
+    the label plane. Deterministic given (stacks, cfg.rng_seed)."""
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
     stacks = list(stacks)
@@ -342,12 +345,20 @@ def build_dataset(stacks, cfg: SamplerConfig, task: str):
     for a, b in zip(dates, dates[1:]):
         if (b - a).days != 1:
             raise ValueError(f"stacks must cover consecutive dates, gap {a} -> {b}")
+    if len({s.channels.shape for s in stacks}) > 1:
+        raise ValueError("stacks must share one channel count and grid")
 
     w = cfg.aggregation_window
     ahead, frames = {"daily": (1, 1), "aggregated": (w, 1), "sequence": (w, w)}[task]
     split_map = assign_splits(dates, cfg,
                               np.random.default_rng([cfg.rng_seed, _SPLIT_STREAM]))
-    scene = np.stack([s.channels for s in stacks])
+    train_stacks = [s for s in stacks if split_map[s.date] == "train"]
+    if not train_stacks:
+        raise ValueError("no stacks fall in the train split; need more days")
+    stats = raster.compute_stats(train_stacks)
+    scene = np.empty((len(stacks), *stacks[0].channels.shape), np.float32)
+    for k, stack in enumerate(stacks):
+        scene[k] = raster.normalize(stack, stats).channels
     samples = []
     for i in range(frames - 1, len(stacks) - ahead):
         split = split_map[dates[i + 1]]
@@ -368,7 +379,7 @@ def build_dataset(stacks, cfg: SamplerConfig, task: str):
                         dates=tuple(dates[history]))
                 for s in day_samples]
         samples.extend(day_samples)
-    return samples
+    return samples, stats
 
 
 def split_subsets(samples):

@@ -17,7 +17,6 @@ import pytest
 from firecast import nn
 from firecast.metrics import evaluate, roc_auc, summarize
 from firecast.models import ARCHS, ModelConfig, ResidualBlock, build
-from firecast.raster import CHANNELS, compute_stats, normalize
 from firecast.sampler import (
     SamplerConfig,
     _SPLIT_STREAM,
@@ -52,13 +51,8 @@ def build_splits(grid, days, seed, tile, task, bias):
     scfg = SynthConfig(grid=grid, days=days, rng_seed=seed, smoothing_radius=12,
                        fire_logit_weights=LEARN_WEIGHTS, fire_bias=bias)
     stacks = gen_scenes(scfg)
-    cfg = SamplerConfig(tile_size=tile, rng_seed=seed)
-    split_map = assign_splits([s.date for s in stacks], cfg,
-                              np.random.default_rng([seed, _SPLIT_STREAM]))
-    train_stacks = [s for s in stacks if split_map[s.date] == "train"]
-    stats = compute_stats(train_stacks)
-    normalized = [normalize(s, stats) for s in stacks]
-    subsets = split_subsets(build_dataset(normalized, cfg, task))
+    samples, _ = build_dataset(stacks, SamplerConfig(tile_size=tile, rng_seed=seed), task)
+    subsets = split_subsets(samples)
     return stacks, scfg, subsets
 
 

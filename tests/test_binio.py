@@ -112,3 +112,34 @@ def test_cut_padded_and_flipped_files(tmp_path, fmt, seed, padding, xor):
             read(path)
         except ValueError:
             pass
+
+
+def _spoil_name(path, name):
+    """Overwrite the first byte of `name` in the file with 0xff, which no
+    UTF-8 text holds; returns the name's offset."""
+    data = bytearray(path.read_bytes())
+    pos = data.index(name.encode("utf-8"))
+    data[pos] = 0xFF
+    path.write_bytes(bytes(data))
+    return pos
+
+
+def test_wfrs_channel_name_not_utf8(tmp_path):
+    path = tmp_path / "s.wfrs"
+    write_stack(RasterStack(datetime.date(2018, 6, 1), CHANNELS[:1],
+                            np.zeros((1, 2, 2), np.float32), np.zeros((2, 2), np.int8),
+                            GeoTransform(0.0, 0.0, 500.0)), path)
+    pos = _spoil_name(path, CHANNELS[0])
+    with pytest.raises(FormatError) as exc:
+        read_stack(path)
+    assert str(exc.value) == (f"{path}: {len(CHANNELS[0])} bytes at offset {pos} "
+                              "are not UTF-8 text")
+
+
+def test_wfck_parameter_name_not_utf8(tmp_path):
+    path = tmp_path / "c.wfck"
+    nn.save_checkpoint({"enc0.w": np.zeros(3)}, path)
+    pos = _spoil_name(path, "enc0.w")
+    with pytest.raises(FormatError) as exc:
+        nn.load_checkpoint(path)
+    assert str(exc.value) == f"{path}: 6 bytes at offset {pos} are not UTF-8 text"

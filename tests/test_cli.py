@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from firecast import cli, sampler
+from firecast import cli, raster, sampler
 from firecast.cli import (
     EXIT_CONFIG,
     EXIT_ERROR,
@@ -19,6 +19,8 @@ from firecast.cli import (
 )
 from firecast.config import ConfigError, load_config
 from firecast.sampler import write_dataset
+
+from test_sampler import scene_series
 
 
 SMALL_CONFIG = """
@@ -90,6 +92,15 @@ BAD_CONFIGS = [
     "epochs = 3\n",  # no section header
     "[sampler]\nsplit_ratio = 6, 1\n",
     "[synth]\ngrid = 96, 96, 96\n",
+    # non-finite floats and a negative map count
+    "[synth]\nfire_bias = nan\n",
+    "[train]\nlearning_rate = nan\n",
+    "[run]\nthreshold = nan\n",
+    "[sampler]\ncluster_merge_distance = nan\n",
+    "[sampler]\nnegative_ratio = inf\n",
+    "[sampler]\nsplit_ratio = 6, -inf, 1\n",
+    "[run]\nmax_maps = -1\n",
+    "[sweep]\nmodel.filter_scheme = 8, 16\n",
 ]
 
 
@@ -197,9 +208,15 @@ def test_bad_values_name_their_source(tmp_path):
     for kwargs, label in [({"path": path}, "[train] epochs"),
                           ({"env": {"WF_TRAIN_EPOCHS": "soon"}}, "env WF_TRAIN_EPOCHS"),
                           ({"flags": {"--threshold": "high"}}, "--threshold"),
+                          ({"env": {"WF_SYNTH_FIRE_BIAS": "nan"}}, "env WF_SYNTH_FIRE_BIAS"),
+                          ({"flags": {"--threshold": "inf"}}, "--threshold"),
+                          ({"env": {"WF_RUN_MAX_MAPS": "-1"}}, "env WF_RUN_MAX_MAPS"),
                           ({"path": sweep}, "[sweep] train.epochs")]:
         with pytest.raises(ConfigError, match=f"^bad value for {re.escape(label)}: "):
             load_config(**({"env": {}} | kwargs))
+    sweep.write_text("[sweep]\nmodel.filter_scheme = 8, 16\n")
+    with pytest.raises(ConfigError, match="^sweep key 'model.filter_scheme' takes a list"):
+        load_config(sweep, env={})
 
 
 # --- verbs -------------------------------------------------------------------------
@@ -263,6 +280,22 @@ def test_default_chain_runs_without_config(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_build_dataset_without_train_day_exit_code(tmp_path, capsys):
+    scenes = tmp_path / "scenes"
+    scenes.mkdir()
+    # five days, one block, drawn test at sampler seed 0
+    for stack in scene_series(5):
+        raster.write_stack(stack, scenes / f"{stack.date.isoformat()}.wfrs")
+    path = tmp_path / "run.cfg"
+    path.write_text(f"[run]\nout = {tmp_path / 'run'}\nstacks = {scenes}\n\n"
+                    "[sampler]\nrng_seed = 0\n")
+    capsys.readouterr()
+    assert run_cli("build-dataset", "--config", path) == EXIT_ERROR
+    assert capsys.readouterr().err == \
+        "error: no stacks fall in the train split; need more days\n"
+    assert not (tmp_path / "run").exists()
+
+
 def test_task_arch_mismatch_exit_code(tmp_path):
     path, out = write_config(tmp_path)
     run_cli("synth", "--config", path)
@@ -317,6 +350,7 @@ def test_bad_sweep_rejected_before_training(tmp_path, capsys):
                         ("train.epochs = 1, soon", EXIT_CONFIG),
                         ("sampler.tile_size = 16, 32", EXIT_CONFIG),
                         ("run.task = daily, sequence", EXIT_CONFIG),
+                        ("model.filter_scheme = 8, 16", EXIT_CONFIG),
                         ("model.arch = unet, ae-lstm", EXIT_MISMATCH)]:
         write_config(tmp_path, text=SMALL_CONFIG + f"\n[sweep]\n{sweep}\n")
         capsys.readouterr()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from firecast import sampler
+from firecast import raster, sampler
 from firecast.binio import FormatError
 from firecast.raster import CHANNELS, GeoTransform, RasterStack
 from firecast.sampler import (
@@ -455,7 +455,7 @@ def small_cfg(**kw):
 def test_daily_candidate_days():
     stacks = scene_series(10)
     cfg = small_cfg()
-    samples = build_dataset(stacks, cfg, "daily")
+    samples, _ = build_dataset(stacks, cfg, "daily")
     feature_dates = {s.date for s in samples}
     # label days run from day 2 to day 10, minus excluded ones
     split = assign_splits([s.date for s in stacks], cfg,
@@ -467,7 +467,7 @@ def test_daily_candidate_days():
 
 def test_aggregated_needs_full_future_window():
     stacks = scene_series(10)
-    samples = build_dataset(stacks, small_cfg(), "aggregated")
+    samples, _ = build_dataset(stacks, small_cfg(), "aggregated")
     last_ok = stacks[10 - 8].date  # t+7 must exist
     for s in samples:
         assert s.date <= last_ok
@@ -475,7 +475,7 @@ def test_aggregated_needs_full_future_window():
 
 def test_sequence_sample_shape_and_dates():
     stacks = scene_series(16)
-    samples = build_dataset(stacks, small_cfg(), "sequence")
+    samples, _ = build_dataset(stacks, small_cfg(), "sequence")
     assert samples, "expected at least one sequence sample"
     for s in samples:
         assert s.features.shape == (7, 3, 32, 32)
@@ -488,8 +488,8 @@ def test_sequence_sample_shape_and_dates():
 
 def test_daily_is_aggregated_over_one_day():
     stacks = scene_series(12, seed=3)
-    daily = build_dataset(stacks, small_cfg(), "daily")
-    one_day = build_dataset(stacks, small_cfg(aggregation_window=1), "aggregated")
+    daily, _ = build_dataset(stacks, small_cfg(), "daily")
+    one_day, _ = build_dataset(stacks, small_cfg(aggregation_window=1), "aggregated")
     assert daily and len(daily) == len(one_day)
     for a, b in zip(daily, one_day):
         assert (a.dates, a.origin, a.split, a.kind) == (b.dates, b.origin, b.split, b.kind)
@@ -499,7 +499,7 @@ def test_daily_is_aggregated_over_one_day():
 
 def test_samples_are_views(tmp_path):
     stacks = scene_series(16, seed=7)
-    samples = build_dataset(stacks, small_cfg(), "sequence")
+    samples, _ = build_dataset(stacks, small_cfg(), "sequence")
     assert samples
     scene = samples[0].features.base
     assert scene.shape == (16, 3, 160, 160)
@@ -515,7 +515,7 @@ def test_samples_are_views(tmp_path):
 
 def test_negative_to_positive_ratio_per_day():
     stacks = scene_series(12, seed=4)
-    samples = build_dataset(stacks, small_cfg(), "daily")
+    samples, _ = build_dataset(stacks, small_cfg(), "daily")
     by_date = {}
     for s in samples:
         pos, neg = by_date.get(s.date, (0, 0))
@@ -531,7 +531,7 @@ def test_negative_to_positive_ratio_per_day():
 def test_splits_follow_label_date_block():
     stacks = scene_series(21, seed=5)
     cfg = small_cfg()
-    samples = build_dataset(stacks, cfg, "daily")
+    samples, _ = build_dataset(stacks, cfg, "daily")
     split = assign_splits([s.date for s in stacks], cfg,
                           np.random.default_rng([cfg.rng_seed, 1]))
     for s in samples:
@@ -539,10 +539,47 @@ def test_splits_follow_label_date_block():
         assert s.split == split[label_date]
 
 
+@pytest.mark.parametrize("task", ["daily", "aggregated", "sequence"])
+def test_build_normalizes_with_train_split_stats(task):
+    stacks = scene_series(16, seed=7)
+    cfg = small_cfg()
+    samples, stats = build_dataset(stacks, cfg, task)
+    assert samples
+    split = assign_splits([s.date for s in stacks], cfg,
+                          np.random.default_rng([cfg.rng_seed, sampler._SPLIT_STREAM]))
+    expected = raster.compute_stats([s for s in stacks if split[s.date] == "train"])
+    assert stats.channel_names == expected.channel_names
+    np.testing.assert_array_equal(stats.mean, expected.mean)
+    np.testing.assert_array_equal(stats.std, expected.std)
+    by_date = {s.date: raster.normalize(s, stats).channels for s in stacks}
+    for s in samples:
+        frames = np.stack([by_date[d] for d in s.dates])
+        if task != "sequence":
+            frames = frames[0]
+        r0, c0 = s.origin
+        np.testing.assert_array_equal(s.features, frames[..., r0:r0 + 32, c0:c0 + 32])
+
+
+def test_build_rejects_series_without_train_day():
+    # at rng_seed 0 the first block is drawn test
+    with pytest.raises(ValueError, match="^no stacks fall in the train split; need more days$"):
+        build_dataset(scene_series(5), small_cfg(), "daily")
+
+
 def test_build_rejects_gapped_dates():
     stacks = scene_series(5)
     stacks.pop(2)
     with pytest.raises(ValueError):
+        build_dataset(stacks, small_cfg(), "daily")
+
+
+def test_build_rejects_mixed_grids():
+    # day 6 closes a block, so its own label day is excluded and only its
+    # features would carry the broadcast row
+    stacks = scene_series(16, seed=7)
+    stacks[6] = replace(stacks[6], channels=stacks[6].channels[:, :1],
+                        fire_mask=stacks[6].fire_mask[:1])
+    with pytest.raises(ValueError, match="^stacks must share one channel count and grid$"):
         build_dataset(stacks, small_cfg(), "daily")
 
 
@@ -559,8 +596,8 @@ def test_build_rejects_unknown_task():
 
 def test_dataset_determinism_and_round_trip(tmp_path):
     stacks = scene_series(10, seed=6)
-    samples1 = build_dataset(stacks, small_cfg(), "daily")
-    samples2 = build_dataset(stacks, small_cfg(), "daily")
+    samples1, _ = build_dataset(stacks, small_cfg(), "daily")
+    samples2, _ = build_dataset(stacks, small_cfg(), "daily")
     p1, p2 = tmp_path / "a.wfds", tmp_path / "b.wfds"
     write_dataset(samples1, "daily", p1)
     write_dataset(samples2, "daily", p2)
@@ -578,7 +615,7 @@ def test_dataset_determinism_and_round_trip(tmp_path):
 
 def test_sequence_round_trip(tmp_path):
     stacks = scene_series(16, seed=7)
-    samples = build_dataset(stacks, small_cfg(), "sequence")
+    samples, _ = build_dataset(stacks, small_cfg(), "sequence")
     p = tmp_path / "s.wfds"
     write_dataset(samples, "sequence", p)
     loaded, task = read_dataset(p)
@@ -589,7 +626,7 @@ def test_sequence_round_trip(tmp_path):
 
 
 def test_last_frame_views_the_final_frame(tmp_path):
-    built = build_dataset(scene_series(16, seed=7), small_cfg(), "sequence")
+    built, _ = build_dataset(scene_series(16, seed=7), small_cfg(), "sequence")
     p = tmp_path / "s.wfds"
     write_dataset(built, "sequence", p)
     for samples in (built, read_dataset(p)[0]):
@@ -607,7 +644,7 @@ def test_last_frame_views_the_final_frame(tmp_path):
 
 def test_split_subsets_partition():
     stacks = scene_series(15, seed=8)
-    samples = build_dataset(stacks, small_cfg(), "daily")
+    samples, _ = build_dataset(stacks, small_cfg(), "daily")
     subsets = split_subsets(samples)
     assert sum(len(v) for v in subsets.values()) == len(samples)
 
