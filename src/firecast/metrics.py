@@ -136,7 +136,7 @@ def predict_pixels(model, samples, batch_size: int = 32):
     with nn.no_grad():
         for lo in range(0, len(samples), batch_size):
             chunk = samples[lo:lo + batch_size]
-            x = np.stack([s.features for s in chunk]).astype(np.float64)
+            x = np.stack([s.features for s in chunk])
             logits = model.forward(x).data[:, 0]
             probs.append(nn.stable_sigmoid(logits).ravel())
             labels.append(np.stack([s.label for s in chunk]).ravel())

@@ -33,6 +33,12 @@ parameter names are those of plain He-uniform init:
   All other biases start at zero, so a block whose kernels are zeroed is
   exactly relu(x).
 
+The compute dtype is the parameters' dtype: build draws and scales every
+value in float64, then casts each parameter once to its dtype argument
+(float32 by default, float64 for gradient checks). forward casts its input
+to that dtype, and load_params narrows checkpoint values to it, exactly for
+checkpoints written from float32 parameters (WFCK stores float64).
+
 Parameter counts per architecture (conv k,cin,cout costs cout*(cin*k*k+1);
 a residual block cin->f costs conv3(cin,f) + conv3(f,f) and, when cin != f,
 conv1(cin,f); the LSTM adds four conv3((cin+hidden),hidden)):
@@ -202,7 +208,12 @@ class Model:
             t = params[name]
             if t.data.shape != arr.shape:
                 raise ValueError(f"{name}: shape {arr.shape} != {t.data.shape}")
-            t.data = np.asarray(arr, dtype=np.float64)
+            t.data = np.asarray(arr, dtype=t.data.dtype)
+
+    @property
+    def dtype(self):
+        """The compute dtype, which is the parameters' dtype."""
+        return self.head.kernel.data.dtype
 
     def _encode(self, x):
         skips = []
@@ -222,17 +233,18 @@ class Model:
 
     def forward(self, x) -> Tensor:
         """Input [N,C,H,W] (image archs) or [N,T,C,H,W] (sequence archs);
-        returns per-pixel fire logits [N,1,H,W]."""
+        returns per-pixel fire logits [N,1,H,W]. An array input is cast to
+        the parameter dtype; a Tensor input is used as given."""
         if not isinstance(x, Tensor):
-            x = Tensor(np.asarray(x, dtype=np.float64))
+            x = Tensor(np.asarray(x, dtype=self.dtype))
         if self.config.is_sequence:
             if x.data.ndim != 5:
                 raise nn.ShapeError(f"{self.config.arch} expects [N,T,C,H,W], got {x.shape}")
             n, t = x.shape[:2]
             hb = x.shape[3] >> len(self.enc)
             wb = x.shape[4] >> len(self.enc)
-            h = Tensor(np.zeros((n, self.config.hidden, hb, wb)))
-            c = Tensor(np.zeros((n, self.config.hidden, hb, wb)))
+            h = Tensor(np.zeros((n, self.config.hidden, hb, wb), dtype=x.data.dtype))
+            c = Tensor(np.zeros((n, self.config.hidden, hb, wb), dtype=x.data.dtype))
             skips = None
             for step in range(t):
                 frame = nn.slice_time(x, step)
@@ -248,15 +260,19 @@ class Model:
         return self.forward(x)
 
 
-def build(config: ModelConfig, rng) -> Model:
+def build(config: ModelConfig, rng, dtype=np.float32) -> Model:
     """Construct a model with Fixup-scaled He-uniform weights drawn from rng.
 
     Kernels are drawn He-uniform in construction order; each residual
     block's conv2 kernel is then scaled by L^-1/2 (L residual blocks), the
     head kernel by HEAD_SCALE, and each block's conv1 bias starts at
     CONV1_BIAS. All other biases start at zero. See the module docstring.
+    The float64 values are then cast once to dtype, the compute dtype.
     """
-    return Model(config, rng)
+    model = Model(config, rng)
+    for t in model.params.values():
+        t.data = t.data.astype(dtype)
+    return model
 
 
 def expected_param_count(config: ModelConfig) -> int:

@@ -1,5 +1,11 @@
-"""Dense float64 tensors with reverse-mode autodiff, and the conv/pool/LSTM
-operator set the segmentation models are built from.
+"""Dense float32 or float64 tensors with reverse-mode autodiff, and the
+conv/pool/LSTM operator set the segmentation models are built from.
+
+A tensor keeps float32 and float64 data as given and casts anything else to
+float64; every op computes in its operands' dtype, and every buffer an op
+allocates (padding, pooling and slicing gradients, reductions) takes that
+dtype too, so a float32 graph stays float32 forward and backward. The
+models train and infer in float32; the gradient checks run in float64.
 
 Every op records its parents and a backward rule on the output tensor; the
 recorded graph is the gradient tape. backward() linearizes the graph
@@ -16,6 +22,9 @@ little-endian, with no padding:
     then per parameter, in sorted name order, each name once:
       name length (u16), UTF-8 name bytes, rank (u8), rank x dim (u32),
       prod(dims) "<f8" values, row-major (one value at rank 0)
+
+Checkpoints stay "<f8" whatever the parameter dtype: float32 values widen
+to float64 exactly, so a float32 model round-trips bit for bit.
 """
 
 from __future__ import annotations
@@ -34,6 +43,7 @@ class ShapeError(ValueError):
 
 
 _grad_enabled = True
+_FLOATS = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 @contextmanager
@@ -52,7 +62,10 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        if data.dtype not in _FLOATS:
+            data = data.astype(np.float64)
+        self.data = data
         self.grad = None
         self.requires_grad = requires_grad
         self._parents = ()
@@ -148,7 +161,7 @@ def relu(x: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    y = stable_sigmoid(x.data)
+    y = stable_sigmoid(x.data, x.data.dtype)
 
     def back(g):
         _accumulate(x, g * y * (1.0 - y))
@@ -186,7 +199,7 @@ def tsum(x: Tensor) -> Tensor:
     """Full reduction to a scalar."""
 
     def back(g):
-        _accumulate(x, np.full(x.shape, float(g)))
+        _accumulate(x, np.full(x.shape, g, dtype=x.data.dtype))
 
     return _make(x.data.sum(), (x,), back)
 
@@ -195,7 +208,7 @@ def tmean(x: Tensor) -> Tensor:
     n = x.data.size
 
     def back(g):
-        _accumulate(x, np.full(x.shape, float(g) / n))
+        _accumulate(x, np.full(x.shape, g / n, dtype=x.data.dtype))
 
     return _make(x.data.mean(), (x,), back)
 
@@ -204,17 +217,18 @@ def slice_time(x: Tensor, t: int) -> Tensor:
     """Select frame t of a [N,T,...] tensor."""
 
     def back(g):
-        full = np.zeros(x.shape)
+        full = np.zeros(x.shape, dtype=x.data.dtype)
         full[:, t] = g
         _accumulate(x, full)
 
     return _make(x.data[:, t], (x,), back)
 
 
-def stable_sigmoid(z):
+def stable_sigmoid(z, dtype=np.float64):
     """Elementwise logistic function on an ndarray, with no overflow: exp
-    only ever sees non-positive arguments."""
-    out = np.empty_like(z, dtype=np.float64)
+    only ever sees non-positive arguments. It computes in z's dtype and
+    stores into an array of the given dtype."""
+    out = np.empty_like(z, dtype=dtype)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
     ez = np.exp(z[~pos])
@@ -266,7 +280,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
 
     xp = x.data
     if pad:  # np.pad costs several times this on the small batches of predict
-        xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
+        xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.data.dtype)
         xp[:, :, pad:pad + h, pad:pad + w] = x.data
     cols = _im2col(xp, k, stride, ho, wo)  # [n, ckk, howo]
     wmat = kernel.data.reshape(f, c * k * k)
@@ -282,7 +296,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
                     .reshape(kernel.shape))
         if x._backward is None and not x.requires_grad:
             return
-        gp = np.zeros((n, f, h + k - 1, w + k - 1))
+        gp = np.zeros((n, f, h + k - 1, w + k - 1), dtype=g.dtype)
         lo = k - 1 - pad
         gp[:, :, lo:lo + stride * ho:stride, lo:lo + stride * wo:stride] = g
         wflip = kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, f * k * k)
@@ -303,7 +317,7 @@ def max_pool2(x: Tensor) -> Tensor:
     out = np.take_along_axis(win, arg[..., None], axis=-1)[..., 0]
 
     def back(g):
-        dwin = np.zeros((n, c, h // 2, w // 2, 4))
+        dwin = np.zeros((n, c, h // 2, w // 2, 4), dtype=g.dtype)
         np.put_along_axis(dwin, arg[..., None], g[..., None], axis=-1)
         dx = dwin.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
         _accumulate(x, dx.reshape(n, c, h, w))
@@ -351,6 +365,11 @@ def conv_lstm_step(x: Tensor, h: Tensor, c: Tensor,
 
     i, f, o gates are sigmoids and g a tanh of 3x3 convolutions over
     [x; h]; c' = f*c + i*g and h' = o*tanh(c').
+
+    h' and c' are flushed to zero where they fall below the dtype's
+    smallest normal number: a forget gate near 0 decays c into subnormals
+    step after step, and subnormal operands slow the next step's gate
+    convs several times over in float32.
     """
     if x.shape[0] != h.shape[0] or x.shape[2:] != h.shape[2:] or h.shape != c.shape:
         raise ShapeError(f"conv_lstm_step: x {x.shape}, h {h.shape}, c {c.shape}")
@@ -359,9 +378,24 @@ def conv_lstm_step(x: Tensor, h: Tensor, c: Tensor,
     f = sigmoid(conv2d(xh, weights.kernels["f"], weights.biases["f"]))
     o = sigmoid(conv2d(xh, weights.kernels["o"], weights.biases["o"]))
     g = tanh(conv2d(xh, weights.kernels["g"], weights.biases["g"]))
-    c_next = add(mul(f, c), mul(i, g))
-    h_next = mul(o, tanh(c_next))
+    c_next = flush_subnormal(add(mul(f, c), mul(i, g)))
+    h_next = flush_subnormal(mul(o, tanh(c_next)))
     return h_next, c_next
+
+
+def flush_subnormal(x: Tensor) -> Tensor:
+    """x with its subnormal values (0 < |v| < finfo(dtype).tiny) set to
+    zero, the flush-to-zero mode of FPUs done in software; x itself when it
+    holds none."""
+    sub = np.abs(x.data) < np.finfo(x.data.dtype).tiny
+    sub &= x.data != 0
+    if not sub.any():
+        return x
+
+    def back(g):
+        _accumulate(x, np.where(sub, 0, g))
+
+    return _make(np.where(sub, 0, x.data), (x,), back)
 
 
 def he_uniform(rng, shape, fan_in):

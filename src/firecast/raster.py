@@ -149,7 +149,12 @@ class ChannelStats:
 
 
 def compute_stats(stacks) -> ChannelStats:
-    """Pool every pixel of every stack (population std, ddof=0)."""
+    """Pool every pixel of every stack (population std, ddof=0).
+
+    One channel at a time: a float64 row of that channel's pixels is all
+    that is held, and its mean and std are those of the pooled [C, P]
+    array's rows to the byte.
+    """
     stacks = list(stacks)
     if not stacks:
         raise ValueError("no stacks to compute stats from")
@@ -157,9 +162,13 @@ def compute_stats(stacks) -> ChannelStats:
     for s in stacks:
         if s.channel_names != names:
             raise ValueError("stacks disagree on channel names")
-    pooled = np.concatenate([s.channels.reshape(len(names), -1) for s in stacks], axis=1)
-    pooled = pooled.astype(np.float64)
-    return ChannelStats(names, pooled.mean(axis=1), pooled.std(axis=1))
+    mean = np.empty(len(names))
+    std = np.empty(len(names))
+    for c in range(len(names)):
+        row = np.concatenate([s.channels[c].ravel() for s in stacks], dtype=np.float64)
+        mean[c] = row.mean()
+        std[c] = row.std()
+    return ChannelStats(names, mean, std)
 
 
 def write_stack(stack: RasterStack, path) -> None:

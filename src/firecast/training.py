@@ -37,7 +37,9 @@ def weighted_bce(logits: Tensor, labels, w_pos: float) -> Tensor:
 
     Stable softplus form: per valid pixel
         w_pos*y*softplus(-z) + (1-y)*softplus(z).
-    All pixels ignored -> loss 0 with zero gradient.
+    All pixels ignored -> loss 0 with zero gradient. The per-pixel terms
+    and the gradient are in the logits' dtype; the loss value is summed in
+    float64.
     """
     labels = np.asarray(labels)
     z = logits.data
@@ -48,15 +50,16 @@ def weighted_bce(logits: Tensor, labels, w_pos: float) -> Tensor:
 
     valid = labels != -1
     n_valid = max(int(valid.sum()), 1)
-    y = (labels == 1).astype(np.float64)
-    weight = np.where(valid, np.where(y == 1.0, w_pos, 1.0), 0.0)
+    y = (labels == 1).astype(z.dtype)
+    weight = valid.astype(z.dtype)
+    weight[labels == 1] = w_pos
     softplus_pos = np.logaddexp(0.0, -z)  # -log sigmoid(z)
     softplus_neg = np.logaddexp(0.0, z)  # -log(1 - sigmoid(z))
     per_pixel = weight * (y * softplus_pos + (1.0 - y) * softplus_neg)
-    value = per_pixel.sum() / n_valid
+    value = per_pixel.sum(dtype=np.float64) / n_valid
 
     def back(g):
-        s = nn.stable_sigmoid(z)
+        s = nn.stable_sigmoid(z, z.dtype)
         dz = weight * (s - y) * (float(g) / n_valid)
         _shape = logits.data.shape
         nn._accumulate(logits, dz.reshape(_shape))
@@ -115,7 +118,7 @@ class TrainReport:
 
 
 def _collate(samples):
-    x = np.stack([s.features for s in samples]).astype(np.float64)
+    x = np.stack([s.features for s in samples])
     y = np.stack([s.label for s in samples])
     return x, y
 

@@ -112,7 +112,7 @@ def test_criterion_1_gradient_suite():
     for seed in range(n_seeds):
         for arch in ARCHS:
             cfg = ModelConfig(arch, (4, 8), tile=16)
-            model = build(cfg, np.random.default_rng(seed))
+            model = build(cfg, np.random.default_rng(seed), dtype=np.float64)
             shape = (1, 2, 10, 16, 16) if cfg.is_sequence else (1, 10, 16, 16)
             xa = np.random.default_rng(seed + 500).uniform(-1, 1, shape)
             check_grads(lambda: nn.tmean(nn.tanh(model.forward(xa))),
@@ -393,7 +393,8 @@ def test_criterion_9_format_conformance(tmp_path):
                               s.features.astype("<f4"))
         assert np.array_equal(rec[9].reshape(s.label.shape), s.label)
 
-    model = build(ModelConfig("unet", (4, 8), tile=16), np.random.default_rng(0))
+    model = build(ModelConfig("unet", (4, 8), tile=16), np.random.default_rng(0),
+                  dtype=np.float64)
     cp = tmp_path / "c.wfck"
     nn.save_checkpoint(model.params, cp)
     ours = nn.load_checkpoint(cp)

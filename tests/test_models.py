@@ -198,6 +198,30 @@ def test_load_params_round_trip(tmp_path):
     np.testing.assert_array_equal(model.forward(x).data, other.forward(x).data)
 
 
+def test_float64_build_casts_to_the_float32_model():
+    cfg = ModelConfig("unet_lstm", (4, 8), tile=16)
+    wide = build(cfg, np.random.default_rng(4), dtype=np.float64)
+    narrow = build(cfg, np.random.default_rng(4))
+    assert list(wide.params) == list(narrow.params)
+    for name, t in narrow.params.items():
+        assert t.data.dtype == np.float32
+        assert wide.params[name].data.dtype == np.float64
+        assert t.data.tobytes() == wide.params[name].data.astype(np.float32).tobytes()
+
+
+def test_float32_params_survive_a_checkpoint_bit_exactly(tmp_path):
+    cfg = ModelConfig("unet_lstm", (4, 8), tile=16)
+    model = build(cfg, np.random.default_rng(9))
+    path = tmp_path / "m.wfck"
+    nn.save_checkpoint(model.params, path)
+    other = build(cfg, np.random.default_rng(123))
+    other.load_params(nn.load_checkpoint(path))
+    for name, t in model.params.items():
+        got = other.params[name].data
+        assert got.dtype == np.float32
+        assert got.tobytes() == t.data.tobytes()
+
+
 def test_load_params_rejects_mismatch():
     model = build(ModelConfig("autoencoder", (4,), tile=8), np.random.default_rng(0))
     with pytest.raises(ValueError):
@@ -257,7 +281,7 @@ def test_full_architecture_gradients(arch):
     for seed in range(2):
         rng = np.random.default_rng(seed)
         cfg = ModelConfig(arch, (4, 8), tile=16)
-        model = build(cfg, rng)
+        model = build(cfg, rng, dtype=np.float64)
         shape = (1, 2, 10, 16, 16) if cfg.is_sequence else (1, 10, 16, 16)
         x = rng.uniform(-1, 1, size=shape)
 

@@ -318,6 +318,58 @@ def test_lstm_step_grads():
         check_grads(loss, tensors)
 
 
+def unflushed_step(x, h, c, w):
+    """conv_lstm_step's arithmetic from the same ops, with no flush."""
+    xh = nn.concat_channels([x, h])
+    z = {gate: nn.conv2d(xh, w.kernels[gate], w.biases[gate]) for gate in w.GATES}
+    c2 = nn.add(nn.mul(nn.sigmoid(z["f"]), c), nn.mul(nn.sigmoid(z["i"]), nn.tanh(z["g"])))
+    return nn.mul(nn.sigmoid(z["o"]), nn.tanh(c2)), c2
+
+
+def subnormal(v):
+    return (v != 0) & (np.abs(v) < np.finfo(v.dtype).tiny)
+
+
+def tiny_state(dtype):
+    """Weights that keep the cell (forget gate 1, candidate 0) and a state
+    of which every other value is 1e-40: subnormal in float32, normal in
+    float64."""
+    rng = np.random.default_rng(3)
+    w = nn.ConvLSTMWeights(2, 3, rng)
+    w.biases["f"].data[:] = 50.0
+    w.kernels["g"].data[:] = 0.0
+    for t in w.named_params("lstm").values():
+        t.data = t.data.astype(dtype)
+    x = Tensor(rng.normal(size=(2, 2, 4, 4)).astype(dtype))
+    state = []
+    for _ in range(2):
+        v = rng.normal(size=(2, 3, 4, 4))
+        v.ravel()[::2] = 1e-40
+        state.append(Tensor(v.astype(dtype)))
+    return x, state[0], state[1], w
+
+
+def test_lstm_flushes_subnormal_float32_state():
+    x, h, c, w = tiny_state(np.float32)
+    assert subnormal(h.data).any() and subnormal(c.data).any()
+    ref_h, ref_c = unflushed_step(x, h, c, w)
+    assert subnormal(ref_c.data).any()  # the cell keeps them without the flush
+    h2, c2 = nn.conv_lstm_step(x, h, c, w)
+    for got, ref in ((h2, ref_h), (c2, ref_c)):
+        assert got.data.dtype == np.float32
+        assert not subnormal(got.data).any()
+        np.testing.assert_array_equal(got.data, np.where(subnormal(ref.data), 0, ref.data))
+
+
+def test_lstm_flush_leaves_float64_values_alone():
+    x, h, c, w = tiny_state(np.float64)
+    ref_h, ref_c = unflushed_step(x, h, c, w)
+    assert (np.abs(ref_c.data) < np.finfo(np.float32).tiny).any()
+    h2, c2 = nn.conv_lstm_step(x, h, c, w)
+    np.testing.assert_array_equal(h2.data, ref_h.data)
+    np.testing.assert_array_equal(c2.data, ref_c.data)
+
+
 # --- backward machinery -------------------------------------------------------
 
 def test_backward_sum_gives_ones():

@@ -315,6 +315,19 @@ def test_normalize_self_stats_gives_zero_mean_unit_std():
     assert np.array_equal(n.fire_mask, s.fire_mask)
 
 
+def test_stats_match_the_pooled_reduction_to_the_byte():
+    # stats.json bytes depend on the summation order: reducing one channel
+    # at a time must give the rows of the pooled [C, P] float64 reduction
+    stacks = [make_stack(h=24 + 8 * i, w=40, seed=i) for i in range(5)]
+    for i, s in enumerate(stacks):
+        s.channels[:] = s.channels * (10.0 ** i) + 50.0 * i
+    pooled = np.concatenate([s.channels.reshape(len(CHANNELS), -1) for s in stacks],
+                            axis=1).astype(np.float64)
+    stats = compute_stats(stacks)
+    assert stats.mean.tobytes() == pooled.mean(axis=1).tobytes()
+    assert stats.std.tobytes() == pooled.std(axis=1).tobytes()
+
+
 def test_normalize_constant_channel_guard():
     channels = np.stack([np.full((4, 4), 7.0, np.float32),
                          np.zeros((4, 4), np.float32)])

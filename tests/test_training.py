@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from firecast import nn, training
-from firecast.models import ModelConfig, build
+from firecast.models import ARCHS, ModelConfig, build
 from firecast.training import (
     OptimizerState,
     TrainConfig,
@@ -306,3 +306,41 @@ def test_report_csv_round_trip(tmp_path):
     assert lines[0] == "epoch,train_loss,val_auc,is_best"
     assert len(lines) == 3
     assert lines[1].split(",")[0] == "1"
+
+
+def tape(loss):
+    """Every tensor the loss was computed from, the loss included."""
+    seen, stack = {}, [loss]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen[id(t)] = t
+            stack.extend(t._parents)
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_float32_training_step_stays_float32(arch):
+    # a float64 input and float64 state anywhere on the tape would widen
+    # everything after it; only the loss value itself is float64
+    cfg = ModelConfig(arch, (4, 8), tile=16)
+    model = build(cfg, np.random.default_rng(0))
+    params = model.params
+    rng = np.random.default_rng(1)
+    x = rng.normal(size=(2, 3, 10, 16, 16) if cfg.is_sequence else (2, 10, 16, 16))
+    y = rng.choice([-1, 0, 1], size=(2, 16, 16))
+    logits = model.forward(x)
+    assert logits.data.dtype == np.float32
+    loss = weighted_bce(logits, y, 3.0)
+    assert loss.data.dtype == np.float64
+    nn.backward(loss)
+    nodes = [t for t in tape(loss) if t is not loss]
+    assert len(nodes) > len(params)
+    for t in nodes:
+        assert t.data.dtype == np.float32
+        assert t.grad is None or t.grad.dtype == np.float32
+    state = OptimizerState(params)
+    adam_step(params, {k: p.grad for k, p in params.items()}, state, TrainConfig())
+    for name, p in params.items():
+        assert p.grad.dtype == p.data.dtype == np.float32, name
+        assert state.m[name].dtype == state.v[name].dtype == np.float32, name
