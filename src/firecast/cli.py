@@ -111,6 +111,7 @@ def cmd_synth(cfg: RunConfig, out: Path) -> int:
 def cmd_build_dataset(cfg: RunConfig, out: Path) -> int:
     stacks = _load_stacks(_scenes_dir(cfg, out))
     samples, stats = sampler.build_dataset(stacks, cfg.sampler, cfg.task)
+    del stacks  # the samples view build_dataset's own arrays, not these
     subsets = sampler.split_subsets(samples)
     out.mkdir(parents=True, exist_ok=True)
     counts = {}

@@ -14,7 +14,9 @@ concatenates each encoder level's (pre-pool) features onto the matching
 decoder level, ordered [upsampled, skip] along channels. The LSTM variants
 run the encoder on every frame of a sequence, roll a convolutional LSTM
 over the bottleneck maps, and decode the final hidden state; the U-Net
-LSTM takes its skip features from the last frame.
+LSTM takes its skip features from the last frame. The LSTM stores one
+kernel and one bias per gate (lstm.w{i,f,o,g}, lstm.b{i,f,o,g}), and
+nn.conv_lstm_step concatenates them to run the four gates as one conv.
 
 Initialization follows Fixup (Zhang et al., arXiv 1901.09321) so that a
 freshly built model starts well conditioned, with initial logits of O(1)

@@ -178,6 +178,19 @@ def tanh(x: Tensor) -> Tensor:
     return _make(y, (x,), back)
 
 
+def concat(tensors, axis=0) -> Tensor:
+    """Concatenate tensors along one axis; backward hands each its slice of g."""
+    tensors = list(tensors)
+    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
+    lead = (slice(None),) * axis
+
+    def back(g):
+        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+            _accumulate(t, g[lead + (slice(lo, hi),)])
+
+    return _make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), back)
+
+
 def concat_channels(tensors) -> Tensor:
     """Concatenate [N,C,H,W] tensors along the channel axis."""
     tensors = list(tensors)
@@ -185,14 +198,24 @@ def concat_channels(tensors) -> Tensor:
     for t in tensors[1:]:
         if len(t.shape) != 4 or (t.shape[0],) + t.shape[2:] != (base[0],) + base[2:]:
             raise ShapeError(f"concat_channels: {t.shape} vs {base}")
-    sizes = [t.shape[1] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    return concat(tensors, axis=1)
 
-    def back(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            _accumulate(t, g[:, lo:hi])
 
-    return _make(np.concatenate([t.data for t in tensors], axis=1), tuple(tensors), back)
+def split_channels(x: Tensor, sizes) -> list[Tensor]:
+    """The inverse of concat_channels: [N,sum(sizes),H,W] -> one view per
+    size; each piece's backward places its g into zeros of x's shape."""
+    if x.data.ndim != 4 or sum(sizes) != x.shape[1]:
+        raise ShapeError(f"split_channels: {x.shape} into {list(sizes)}")
+    offsets = np.cumsum([0] + list(sizes))
+    pieces = []
+    for lo, hi in zip(offsets[:-1], offsets[1:]):
+        def back(g, lo=lo, hi=hi):
+            full = np.zeros(x.shape, dtype=x.data.dtype)
+            full[:, lo:hi] = g
+            _accumulate(x, full)
+
+        pieces.append(_make(x.data[:, lo:hi], (x,), back))
+    return pieces
 
 
 def tsum(x: Tensor) -> Tensor:
@@ -337,7 +360,9 @@ def upsample2(x: Tensor) -> Tensor:
 
 
 class ConvLSTMWeights:
-    """Four 3x3 gate convolutions (i, f, o, g) over the concatenated [x; h]."""
+    """The (i, f, o, g) gate convolutions over the concatenated [x; h], held
+    as four 3x3 kernels [hidden, in+hidden, 3, 3] and four biases
+    [hidden]; conv_lstm_step concatenates them in GATES order."""
 
     GATES = ("i", "f", "o", "g")
 
@@ -361,41 +386,52 @@ class ConvLSTMWeights:
 
 def conv_lstm_step(x: Tensor, h: Tensor, c: Tensor,
                    weights: ConvLSTMWeights) -> tuple[Tensor, Tensor]:
-    """One convolutional LSTM update.
+    """One convolutional LSTM update (Shi et al., arXiv 1506.04214).
 
-    i, f, o gates are sigmoids and g a tanh of 3x3 convolutions over
-    [x; h]; c' = f*c + i*g and h' = o*tanh(c').
+    One 3x3 convolution over [x; h], with the four gate kernels and biases
+    concatenated into a [4*hidden, in+hidden, 3, 3] kernel and a
+    [4*hidden] bias, gives the i, f, o, g preactivations as consecutive
+    channel blocks; i, f, o are their sigmoids and g a tanh, and
+    c' = f*c + i*g, h' = o*tanh(c').
 
-    h' and c' are flushed to zero where they fall below the dtype's
-    smallest normal number: a forget gate near 0 decays c into subnormals
-    step after step, and subnormal operands slow the next step's gate
-    convs several times over in float32.
+    The preactivations, c' and h' pass through flush_subnormal: a forget
+    gate near 0 decays c into subnormals step after step, saturated gates
+    shrink the gradients into subnormals, and subnormal operands slow the
+    gate conv's GEMMs several times over in float32.
     """
     if x.shape[0] != h.shape[0] or x.shape[2:] != h.shape[2:] or h.shape != c.shape:
         raise ShapeError(f"conv_lstm_step: x {x.shape}, h {h.shape}, c {c.shape}")
-    xh = concat_channels([x, h])
-    i = sigmoid(conv2d(xh, weights.kernels["i"], weights.biases["i"]))
-    f = sigmoid(conv2d(xh, weights.kernels["f"], weights.biases["f"]))
-    o = sigmoid(conv2d(xh, weights.kernels["o"], weights.biases["o"]))
-    g = tanh(conv2d(xh, weights.kernels["g"], weights.biases["g"]))
+    kernel = concat([weights.kernels[gate] for gate in weights.GATES])
+    bias = concat([weights.biases[gate] for gate in weights.GATES])
+    z = flush_subnormal(conv2d(concat_channels([x, h]), kernel, bias))
+    zi, zf, zo, zg = split_channels(z, [h.shape[1]] * 4)
+    i, f, o, g = sigmoid(zi), sigmoid(zf), sigmoid(zo), tanh(zg)
     c_next = flush_subnormal(add(mul(f, c), mul(i, g)))
     h_next = flush_subnormal(mul(o, tanh(c_next)))
     return h_next, c_next
 
 
+def _subnormal(v):
+    """Mask of v's subnormal values, 0 < |v| < finfo(dtype).tiny."""
+    sub = np.abs(v) < np.finfo(v.dtype).tiny
+    sub &= v != 0
+    return sub
+
+
 def flush_subnormal(x: Tensor) -> Tensor:
-    """x with its subnormal values (0 < |v| < finfo(dtype).tiny) set to
-    zero, the flush-to-zero mode of FPUs done in software; x itself when it
-    holds none."""
-    sub = np.abs(x.data) < np.finfo(x.data.dtype).tiny
-    sub &= x.data != 0
-    if not sub.any():
-        return x
+    """x with its subnormal values set to zero, the flush-to-zero mode of
+    FPUs done in software, in both directions: forward flushes subnormal
+    values, backward flushes subnormal gradients (and passes none through
+    a flushed value). Arrays with nothing to flush pass through as they are.
+    """
+    sub = _subnormal(x.data)
 
     def back(g):
-        _accumulate(x, np.where(sub, 0, g))
+        drop = _subnormal(g)
+        drop |= sub
+        _accumulate(x, np.where(drop, 0, g) if drop.any() else g)
 
-    return _make(np.where(sub, 0, x.data), (x,), back)
+    return _make(np.where(sub, 0, x.data) if sub.any() else x.data, (x,), back)
 
 
 def he_uniform(rng, shape, fan_in):

@@ -409,18 +409,19 @@ def _decode(path, field, names, code):
 
 
 def write_dataset(samples, task: str, path) -> None:
-    """Serialize samples; sequence features are [T,C,h,w], others [C,h,w]."""
-    parts = [DATASET_MAGIC, bytes((DATASET_VERSION,)), _COUNT.pack(len(samples))]
-    for s in samples:
-        feats = np.ascontiguousarray(s.features, dtype="<f4")
-        parts.append(_SAMPLE_HEADER.pack(
-            _KINDS.index(s.kind), TASKS.index(task), SPLITS.index(s.split),
-            (s.date - EPOCH).days, s.origin[0], s.origin[1],
-            feats.shape[0] if feats.ndim == 4 else 1, feats.shape[-3], feats.shape[-1]))
-        parts.append(feats.tobytes())
-        parts.append(np.ascontiguousarray(s.label, dtype=np.int8).tobytes())
+    """Serialize samples; sequence features are [T,C,h,w], others [C,h,w].
+    Each header, feature block and label block goes to the file as it is
+    made, so no copy of the whole file is held."""
     with open(path, "wb") as f:
-        f.write(b"".join(parts))
+        f.write(DATASET_MAGIC + bytes((DATASET_VERSION,)) + _COUNT.pack(len(samples)))
+        for s in samples:
+            feats = np.ascontiguousarray(s.features, dtype="<f4")
+            f.write(_SAMPLE_HEADER.pack(
+                _KINDS.index(s.kind), TASKS.index(task), SPLITS.index(s.split),
+                (s.date - EPOCH).days, s.origin[0], s.origin[1],
+                feats.shape[0] if feats.ndim == 4 else 1, feats.shape[-3], feats.shape[-1]))
+            f.write(feats)
+            f.write(np.ascontiguousarray(s.label, dtype=np.int8))
 
 
 def read_dataset(path):

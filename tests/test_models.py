@@ -171,6 +171,21 @@ def test_param_count_closed_form(arch, scheme):
     assert actual == expected_param_count(cfg)
 
 
+@pytest.mark.parametrize("arch, scheme, count", [
+    ("ae_lstm", (8, 16), 30057), ("unet_lstm", (4, 8), 8637)])
+def test_lstm_keeps_its_per_gate_storage(arch, scheme, count):
+    """conv_lstm_step fuses the gate convs in compute only: the LSTM still
+    stores, names and checkpoints one kernel and one bias per gate."""
+    cfg = ModelConfig(arch, scheme, tile=16)
+    model = build(cfg, np.random.default_rng(0))
+    lstm = {name: t.shape for name, t in model.params.items() if name.startswith("lstm.")}
+    hidden, cin = cfg.hidden, scheme[-1] + cfg.hidden
+    assert lstm == {f"lstm.{kind}{gate}": shape
+                    for gate in "ifog"
+                    for kind, shape in (("w", (hidden, cin, 3, 3)), ("b", (hidden,)))}
+    assert expected_param_count(cfg) == count
+
+
 def test_unet_has_more_params_than_autoencoder():
     ae = expected_param_count(ModelConfig("autoencoder", (8, 16), tile=32))
     un = expected_param_count(ModelConfig("unet", (8, 16), tile=32))

@@ -326,6 +326,52 @@ def unflushed_step(x, h, c, w):
     return nn.mul(nn.sigmoid(z["o"]), nn.tanh(c2)), c2
 
 
+def test_fused_step_matches_per_gate_convs():
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        w = nn.ConvLSTMWeights(3, 4, rng)
+        for t in w.biases.values():
+            t.data[:] = rng.normal(size=t.shape)
+        x = Tensor(rng.normal(size=(2, 3, 5, 5)), requires_grad=True)
+        h = Tensor(rng.normal(size=(2, 4, 5, 5)), requires_grad=True)
+        c = Tensor(rng.normal(size=(2, 4, 5, 5)), requires_grad=True)
+        tensors = [x, h, c] + list(w.named_params("lstm").values())
+        results = []
+        for step in (nn.conv_lstm_step, unflushed_step):
+            for t in tensors:
+                t.grad = None
+            h2, c2 = step(x, h, c, w)
+            nn.backward(nn.tsum(nn.add(nn.mul(h2, h2), c2)))
+            results.append([h2.data, c2.data] + [t.grad for t in tensors])
+        for got, ref in zip(*results):
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+
+def test_split_channels_inverts_concat_channels():
+    rng = np.random.default_rng(4)
+    a = Tensor(rng.normal(size=(2, 3, 2, 2)), requires_grad=True)
+    b = Tensor(rng.normal(size=(2, 1, 2, 2)), requires_grad=True)
+    pieces = nn.split_channels(nn.concat_channels([a, b]), [3, 1])
+    for piece, t in zip(pieces, (a, b)):
+        np.testing.assert_array_equal(piece.data, t.data)
+
+    def loss():  # pieces that straddle the concatenated inputs
+        p, q, r = nn.split_channels(nn.concat_channels([a, b]), [1, 2, 1])
+        return nn.tsum(nn.concat_channels([nn.tanh(p), nn.sigmoid(q), nn.mul(r, r)]))
+
+    check_grads(loss, [a, b])
+    with pytest.raises(nn.ShapeError):
+        nn.split_channels(a, [2, 2])
+
+
+def test_concat_axis0_grads():
+    rng = np.random.default_rng(5)
+    a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    b = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    np.testing.assert_array_equal(nn.concat([a, b]).data, np.concatenate([a.data, b.data]))
+    check_grads(lambda: nn.tsum(nn.tanh(nn.concat([a, b, a]))), [a, b])
+
+
 def subnormal(v):
     return (v != 0) & (np.abs(v) < np.finfo(v.dtype).tiny)
 
@@ -368,6 +414,37 @@ def test_lstm_flush_leaves_float64_values_alone():
     h2, c2 = nn.conv_lstm_step(x, h, c, w)
     np.testing.assert_array_equal(h2.data, ref_h.data)
     np.testing.assert_array_equal(c2.data, ref_c.data)
+
+
+def flush_grad(g):
+    """The gradient flush_subnormal hands back for an upstream gradient g,
+    at a normal forward value."""
+    x = Tensor(np.ones_like(g), requires_grad=True)
+    nn.backward(nn.tsum(nn.mul(nn.flush_subnormal(x), Tensor(g))))
+    return x.grad
+
+
+def test_flush_subnormal_flushes_float32_gradients():
+    g = np.array([1e-40, -1e-40, 0.0, 1e-37, -2.5, 3.0], np.float32)
+    assert subnormal(g)[:2].all() and not subnormal(g)[2:].any()
+    got = flush_grad(g)
+    assert got.dtype == np.float32
+    assert got.tobytes() == np.where(subnormal(g), 0, g).tobytes()
+    normal = np.array([1e-37, -2.5, 3.0], np.float32)
+    assert flush_grad(normal).tobytes() == normal.tobytes()
+
+
+def test_flush_subnormal_leaves_float64_gradients_alone():
+    g = np.array([1e-40, -1e-40, 0.0, -2.5], np.float64)
+    assert flush_grad(g).tobytes() == g.tobytes()
+
+
+def test_flush_subnormal_passes_no_gradient_through_a_flushed_value():
+    x = Tensor(np.array([1e-40, 1.0], np.float32), requires_grad=True)
+    y = nn.flush_subnormal(x)
+    np.testing.assert_array_equal(y.data, [0.0, 1.0])
+    nn.backward(nn.tsum(y))
+    np.testing.assert_array_equal(x.grad, [0.0, 1.0])
 
 
 # --- backward machinery -------------------------------------------------------
