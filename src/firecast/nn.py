@@ -251,28 +251,25 @@ def stable_sigmoid(z, dtype=np.float64):
     """Elementwise logistic function on an ndarray, with no overflow: exp
     only ever sees non-positive arguments. It computes in z's dtype and
     stores into an array of the given dtype."""
-    out = np.empty_like(z, dtype=dtype)
     pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(np.where(pos, -z, z))
+    return np.where(pos, 1 / (1 + e), e / (1 + e)).astype(dtype, copy=False)
 
 
 # ---------------------------------------------------------------------------
 # spatial ops
 # ---------------------------------------------------------------------------
 
-def _im2col(xp, k, stride, ho, wo):
-    """[N,C,Hp,Wp] padded input -> [N, C*k*k, ho*wo] patch tensor, one copy of
-    a read-only window view of xp; needs (ho-1)*stride + k-1 <= Hp-1.
+def _im2col(xp, k, ho, wo):
+    """[N,C,Hp,Wp] padded input -> [N, C*k*k, ho*wo] stride-1 patch tensor,
+    one copy of a read-only window view of xp; needs ho + k-1 <= Hp.
 
     The (c, ki, kj) packing order matches kernel.reshape(F, C*k*k), and the
     trailing ho*wo axis keeps the result GEMM-ready without a transpose.
     """
     n, c = xp.shape[:2]
     s = xp.strides
-    win = as_strided(xp, (n, c, k, k, ho, wo), s + (stride * s[2], stride * s[3]), writeable=False)
+    win = as_strided(xp, (n, c, k, k, ho, wo), s + s[2:], writeable=False)
     return np.ascontiguousarray(win).reshape(n, c * k * k, ho * wo)
 
 
@@ -281,10 +278,23 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
 
     x [N,C,H,W], kernel [F,C,k,k], bias [F] -> [N,F,H/stride,W/stride].
 
-    One _im2col and one GEMM per product: the kernel gradient reuses the
-    forward's patches, and the input gradient runs the forward correlation
-    on g dilated by the stride and padded by k-1-pad, with the kernel
-    flipped and its F, C axes swapped (a transposed conv, arXiv 1603.07285).
+    The forward and the kernel gradient build no patch matrix; they are
+    the accumulating kn2row formulation (Anderson et al., arXiv
+    1709.03395), k*k 1x1 GEMMs each added in at a shifted position. x is
+    zero-padded once into a buffer [N, C, L]: each map flattened with row
+    pitch Wp = W + 2*pad, plus tail room for the last tap (a 1x1 conv with
+    nothing to pad reads x's own memory through a reshape). Output (i, j)
+    sits at flat p = i*Wp + j, and tap (ki, kj) reads the buffer at
+    ki*Wp + kj + stride*p, so each tap is one batched GEMM of the kernel's
+    [F, C] slice with a strided view of the buffer, accumulated into
+    [N, F, Ho*Wp]. The Wp - Wo columns past each output row are junk:
+    they are dropped from the output, and the kernel gradient sees zeros
+    there. Backward keeps only the buffer.
+
+    The input gradient runs the forward correlation on g dilated by the
+    stride and padded by k-1-pad, with the kernel flipped and its F, C
+    axes swapped (a transposed conv, arXiv 1603.07285): one _im2col of g
+    and one GEMM that sums over all F*k*k taps at once.
     """
     if stride not in (1, 2):
         raise ShapeError(f"conv2d: stride must be 1 or 2, got {stride}")
@@ -298,32 +308,50 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
         raise ShapeError(f"conv2d: bias {bias.shape} must be ({f},)")
     k = kh
     pad = (k - 1) // 2
-    ho = (h + 2 * pad - k) // stride + 1
-    wo = (w + 2 * pad - k) // stride + 1
+    hp, wp = h + 2 * pad, w + 2 * pad
+    ho = (hp - k) // stride + 1
+    wo = (wp - k) // stride + 1
+    m = ho * wp  # output columns per map, Wp - Wo junk per row
+    length = max(hp * wp, (k - 1) * (wp + 1) + stride * (m - 1) + 1)
 
-    xp = x.data
-    if pad:  # np.pad costs several times this on the small batches of predict
-        xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.data.dtype)
-        xp[:, :, pad:pad + h, pad:pad + w] = x.data
-    cols = _im2col(xp, k, stride, ho, wo)  # [n, ckk, howo]
-    wmat = kernel.data.reshape(f, c * k * k)
-    out = (wmat[None] @ cols).reshape(n, f, ho, wo)
-    out += bias.data[None, :, None, None]
+    if length == h * w:  # a 1x1 conv with nothing to pad: x as it is
+        buf = x.data.reshape(n, c, h * w)
+    else:
+        buf = np.zeros((n, c, length), dtype=x.data.dtype)
+        buf[:, :, :hp * wp].reshape(n, c, hp, wp)[:, :, pad:pad + h, pad:pad + w] = x.data
+    sn, sc, sl = buf.strides
+    # views[ki, kj] is the [N, C, Ho*Wp] window tap (ki, kj) multiplies
+    views = as_strided(buf, (k, k, n, c, m), (wp * sl, sl, sn, sc, stride * sl),
+                       writeable=False)
+    taps = list(np.ndindex(k, k))
+    wtaps = np.ascontiguousarray(kernel.data.transpose(2, 3, 0, 1))  # [k, k, F, C]
+    acc = np.matmul(wtaps[0, 0], views[0, 0])
+    prod = np.empty_like(acc)
+    for t in taps[1:]:
+        acc += np.matmul(wtaps[t], views[t], out=prod)
+    acc += bias.data[:, None]
+    out = np.ascontiguousarray(acc.reshape(n, f, ho, wp)[:, :, :, :wo])
 
     def back(g):
-        gmat = g.reshape(n, f, ho * wo)
-        _accumulate(bias, gmat.sum(axis=(0, 2)))
-        # batched GEMMs; BLAS consumes the transposed views directly
-        _accumulate(kernel,
-                    np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0)
-                    .reshape(kernel.shape))
+        _accumulate(bias, g.reshape(n, f, ho * wo).sum(axis=(0, 2)))
+        if wo == wp:  # no junk columns
+            gz = g.reshape(n, f, m)
+        else:
+            gz = np.zeros((n, f, ho, wp), dtype=g.dtype)  # zeros in the junk columns
+            gz[:, :, :, :wo] = g
+            gz = gz.reshape(n, f, m)
+        dk = np.empty(kernel.shape, dtype=g.dtype)
+        for ki, kj in taps:
+            # batched GEMMs; BLAS consumes the transposed view directly
+            dk[:, :, ki, kj] = np.matmul(gz, views[ki, kj].transpose(0, 2, 1)).sum(axis=0)
+        _accumulate(kernel, dk)
         if x._backward is None and not x.requires_grad:
             return
         gp = np.zeros((n, f, h + k - 1, w + k - 1), dtype=g.dtype)
         lo = k - 1 - pad
         gp[:, :, lo:lo + stride * ho:stride, lo:lo + stride * wo:stride] = g
         wflip = kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, f * k * k)
-        _accumulate(x, (wflip[None] @ _im2col(gp, k, 1, h, w)).reshape(n, c, h, w))
+        _accumulate(x, (wflip[None] @ _im2col(gp, k, h, w)).reshape(n, c, h, w))
 
     return _make(out, (x, kernel, bias), back)
 

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -145,6 +146,60 @@ def test_conv_grads(stride):
         check_grads(lambda: nn.tsum(nn.tanh(nn.conv2d(x, k, b, stride))), [x, k, b])
 
 
+def conv_param_grads_ref(x, g, k, stride):
+    """Kernel and bias gradients of conv2d as one einsum over the windows of
+    the zero-padded input (the reference for conv2d's tap-by-tap GEMMs)."""
+    pad = (k - 1) // 2
+    # k extra zero rows and columns keep the window view defined when the
+    # output is empty; no output window reaches them
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad + k), (pad, pad + k)))
+    _, _, ho, wo = g.shape
+    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
+    win = win[:, :, :stride * ho:stride, :stride * wo:stride][:, :, :ho, :wo]
+    return np.einsum("nfyx,ncyxij->fcij", g, win), g.sum(axis=(0, 2, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 3), c=st.integers(1, 4), f=st.integers(1, 4),
+       h=st.integers(1, 9), w=st.integers(1, 9), k=st.sampled_from([1, 2, 3, 5]),
+       stride=st.sampled_from([1, 2]), seed=st.integers(0, 2**32 - 1))
+def test_conv_kernel_and_bias_grads_match_einsum(n, c, f, h, w, k, stride, seed):
+    rng = np.random.default_rng(seed)
+    x64 = rng.normal(size=(n, c, h, w))
+    k64 = rng.normal(size=(f, c, k, k))
+    b64 = rng.normal(size=f)
+    for dtype, tol in ((np.float64, 1e-10), (np.float32, 1e-4)):
+        x = Tensor(x64.astype(dtype), requires_grad=True)
+        kernel = Tensor(k64.astype(dtype), requires_grad=True)
+        b = Tensor(b64.astype(dtype), requires_grad=True)
+        y = nn.conv2d(x, kernel, b, stride)
+        g = rng.normal(size=y.shape).astype(dtype)
+        nn.backward(nn.tsum(nn.mul(y, Tensor(g))))
+        assert {t.dtype for t in (y.data, x.grad, kernel.grad, b.grad)} == {np.dtype(dtype)}
+        assert x.grad.shape == x.shape and kernel.grad.shape == kernel.shape
+        dk, db = conv_param_grads_ref(x64, g.astype(np.float64), k, stride)
+        scale = max(np.abs(dk).max(initial=0.0), np.abs(db).max(initial=0.0), 1.0)
+        assert np.abs(kernel.grad - dk).max(initial=0.0) <= tol * scale
+        assert np.abs(b.grad - db).max(initial=0.0) <= tol * scale
+
+
+def test_conv_keeps_no_patch_matrix_on_the_tape():
+    """After the forward, what conv2d keeps for backward is about one padded
+    copy of x, not a [N, C*k*k, Ho*Wo] patch matrix (9x x for a 3x3)."""
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(8, 16, 32, 32)).astype(np.float32), requires_grad=True)
+    kernel = Tensor(rng.normal(size=(16, 16, 3, 3)).astype(np.float32), requires_grad=True)
+    b = Tensor(np.zeros(16, np.float32), requires_grad=True)
+    tracemalloc.start()
+    try:
+        y = nn.conv2d(x, kernel, b)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert y._backward is not None
+    assert held < 3 * x.data.nbytes + y.data.nbytes
+
+
 # --- pooling / upsampling ----------------------------------------------------
 
 def test_max_pool_single_window():
@@ -227,6 +282,30 @@ def test_stable_sigmoid_extreme_logits():
     assert ends.tolist() == [0.0, 0.5, 1.0, 1.0]
     assert 0.0 < tiny < 1e-17
     assert np.abs(below - (1.0 - above)).max() <= 1e-15
+
+
+def masked_sigmoid(z, dtype):
+    """The logistic function split by sign with boolean masks, each half
+    fancy-indexed (the reference for stable_sigmoid's np.where form)."""
+    out = np.empty_like(z, dtype=dtype)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+@pytest.mark.parametrize("src,dst", [(np.float32, np.float32), (np.float32, np.float64),
+                                     (np.float64, np.float64)])
+def test_stable_sigmoid_matches_the_masked_formula_bytewise(src, dst):
+    tiny = np.finfo(src).tiny
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, tiny / 4, -tiny / 4, tiny, -tiny,
+               1e-30, -1e-30, 88.0, -88.0, 104.0, -104.0, 750.0, -750.0]
+    z = np.concatenate([np.array(special), np.random.default_rng(0).normal(0, 12, 4000)])
+    z = z.astype(src)
+    got = nn.stable_sigmoid(z, dst)
+    assert got.dtype == np.dtype(dst)
+    assert got.tobytes() == masked_sigmoid(z, dst).tobytes()
 
 
 def test_concat_channel_arithmetic():
