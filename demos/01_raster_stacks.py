@@ -1,7 +1,7 @@
-"""Raster stacks: the WFRS container, resampling, and normalization.
+"""Raster stacks: the WFRS container and normalization.
 
 Builds a tiny two-channel stack by hand, round-trips it through a file,
-then regrids a coarse plane onto a finer target grid.
+then z-scores it with its own channel statistics.
 """
 
 import datetime
@@ -16,7 +16,6 @@ from firecast.raster import (
     compute_stats,
     normalize,
     read_stack,
-    resample,
     write_stack,
 )
 
@@ -45,17 +44,6 @@ with tempfile.TemporaryDirectory() as tmp:
     print(f"wrote {path.stat().st_size} bytes")
     again = read_stack(path)
     print("round trip equal:", again == stack)
-
-# Upsample the elevation plane 2x: the 4 km source grid below stands in
-# for a coarse weather product being brought to the 1 km label grid.
-coarse_geo = GeoTransform(0.0, 0.0, 4000.0)
-fine_geo = GeoTransform(0.0, 0.0, 1000.0)
-coarse = np.arange(16, dtype=np.float64).reshape(4, 4)
-fine = resample(coarse, coarse_geo, fine_geo, (13, 13), method="bilinear")
-print("\ncoarse 4 km plane:\n", coarse)
-print("bilinear at 1 km, corner block:\n", np.round(fine[:5, :5], 2))
-nearest = resample(coarse, coarse_geo, fine_geo, (13, 13), method="nearest")
-print("nearest keeps source values:", sorted(set(nearest.ravel())) == list(range(16)))
 
 # Channel normalization with training-split statistics.
 stats = compute_stats([stack])

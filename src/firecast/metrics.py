@@ -17,6 +17,9 @@ import numpy as np
 from . import nn
 
 
+PREDICT_BATCH = 32  # samples per predict_pixels forward pass
+
+
 class UndefinedAUCError(ValueError):
     """AUC is undefined unless both classes are present."""
 
@@ -126,7 +129,7 @@ def summarize(scores, labels, threshold: float = 0.5) -> EvalResult:
     )
 
 
-def predict_pixels(model, samples, batch_size: int = 32):
+def predict_pixels(model, samples):
     """Run the model over a dataset; returns (probabilities, labels) pooled
     over every pixel, uncertain ones included (callers filter)."""
     if not samples:
@@ -134,8 +137,8 @@ def predict_pixels(model, samples, batch_size: int = 32):
     probs = []
     labels = []
     with nn.no_grad():
-        for lo in range(0, len(samples), batch_size):
-            chunk = samples[lo:lo + batch_size]
+        for lo in range(0, len(samples), PREDICT_BATCH):
+            chunk = samples[lo:lo + PREDICT_BATCH]
             x = np.stack([s.features for s in chunk])
             logits = model.forward(x).data[:, 0]
             probs.append(nn.stable_sigmoid(logits).ravel())

@@ -260,17 +260,38 @@ def stable_sigmoid(z, dtype=np.float64):
 # spatial ops
 # ---------------------------------------------------------------------------
 
-def _im2col(xp, k, ho, wo):
-    """[N,C,Hp,Wp] padded input -> [N, C*k*k, ho*wo] stride-1 patch tensor,
-    one copy of a read-only window view of xp; needs ho + k-1 <= Hp.
+def _taps(src, lo, hp, wp, k, ho, stride=1, dilate=1):
+    """Strided tap views [k, k, N, C, ho*wp] of one zero buffer [N, C, L]
+    that holds src [N,C,H,W] at (lo, lo) of an hp x wp map with row pitch
+    wp, on every dilate-th row and column. views[ki, kj] is the window that
+    tap (ki, kj) of a stride-`stride` correlation reads for output rows
+    0..ho-1; L leaves tail room for the last tap. When src fills the whole
+    buffer, the views read src's own memory through a reshape."""
+    n, c, h, w = src.shape
+    m = ho * wp
+    length = max(hp * wp, (k - 1) * (wp + 1) + stride * (m - 1) + 1)
+    if length == h * w:  # nothing to pad or dilate: src as it is
+        buf = src.reshape(n, c, h * w)
+    else:
+        buf = np.zeros((n, c, length), dtype=src.dtype)
+        rows = slice(lo, lo + dilate * (h - 1) + 1, dilate)
+        cols = slice(lo, lo + dilate * (w - 1) + 1, dilate)
+        buf[:, :, :hp * wp].reshape(n, c, hp, wp)[:, :, rows, cols] = src
+    sn, sc, sl = buf.strides
+    return as_strided(buf, (k, k, n, c, m), (wp * sl, sl, sn, sc, stride * sl),
+                      writeable=False)
 
-    The (c, ki, kj) packing order matches kernel.reshape(F, C*k*k), and the
-    trailing ho*wo axis keeps the result GEMM-ready without a transpose.
-    """
-    n, c = xp.shape[:2]
-    s = xp.strides
-    win = as_strided(xp, (n, c, k, k, ho, wo), s + s[2:], writeable=False)
-    return np.ascontiguousarray(win).reshape(n, c * k * k, ho * wo)
+
+def _correlate(views, kernel):
+    """Sum over taps of kernel[:, :, ki, kj] @ views[ki, kj]: kernel
+    [F,C,k,k] and views [k, k, N, C, M] -> [N, F, M], one batched GEMM per
+    tap accumulated in place."""
+    wtaps = np.ascontiguousarray(kernel.transpose(2, 3, 0, 1))  # [k, k, F, C]
+    acc = np.matmul(wtaps[0, 0], views[0, 0])
+    prod = np.empty_like(acc)
+    for t in list(np.ndindex(wtaps.shape[:2]))[1:]:
+        acc += np.matmul(wtaps[t], views[t], out=prod)
+    return acc
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
@@ -278,23 +299,21 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
 
     x [N,C,H,W], kernel [F,C,k,k], bias [F] -> [N,F,H/stride,W/stride].
 
-    The forward and the kernel gradient build no patch matrix; they are
-    the accumulating kn2row formulation (Anderson et al., arXiv
-    1709.03395), k*k 1x1 GEMMs each added in at a shifted position. x is
-    zero-padded once into a buffer [N, C, L]: each map flattened with row
-    pitch Wp = W + 2*pad, plus tail room for the last tap (a 1x1 conv with
-    nothing to pad reads x's own memory through a reshape). Output (i, j)
-    sits at flat p = i*Wp + j, and tap (ki, kj) reads the buffer at
-    ki*Wp + kj + stride*p, so each tap is one batched GEMM of the kernel's
-    [F, C] slice with a strided view of the buffer, accumulated into
-    [N, F, Ho*Wp]. The Wp - Wo columns past each output row are junk:
-    they are dropped from the output, and the kernel gradient sees zeros
-    there. Backward keeps only the buffer.
+    All three products build no patch matrix. Forward and input gradient
+    are one correlation, the accumulating kn2row formulation (Anderson et
+    al., arXiv 1709.03395): the source is zero-padded once into a buffer
+    [N, C, L] of maps with row pitch Wp, and each of the k*k taps is one
+    batched GEMM of the kernel's [F, C] slice with a strided view of that
+    buffer (_taps), accumulated into [N, F, Ho*Wp] (_correlate). The
+    Wp - Wo columns past each output row are junk and are dropped.
 
-    The input gradient runs the forward correlation on g dilated by the
-    stride and padded by k-1-pad, with the kernel flipped and its F, C
-    axes swapped (a transposed conv, arXiv 1603.07285): one _im2col of g
-    and one GEMM that sums over all F*k*k taps at once.
+    - Forward: x padded by pad (Wp = W + 2*pad); a 1x1 conv with nothing
+      to pad reads x's own memory. Backward keeps only this buffer.
+    - Kernel gradient: one GEMM per tap of g, zero-filled into the
+      Ho x Wp layout, with the forward's tap views.
+    - Input gradient: g dilated by the stride and padded by k-1-pad
+      (Wp = W + k-1), correlated with the kernel flipped and its F, C
+      axes swapped (a transposed conv, arXiv 1603.07285).
     """
     if stride not in (1, 2):
         raise ShapeError(f"conv2d: stride must be 1 or 2, got {stride}")
@@ -312,23 +331,9 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     ho = (hp - k) // stride + 1
     wo = (wp - k) // stride + 1
     m = ho * wp  # output columns per map, Wp - Wo junk per row
-    length = max(hp * wp, (k - 1) * (wp + 1) + stride * (m - 1) + 1)
 
-    if length == h * w:  # a 1x1 conv with nothing to pad: x as it is
-        buf = x.data.reshape(n, c, h * w)
-    else:
-        buf = np.zeros((n, c, length), dtype=x.data.dtype)
-        buf[:, :, :hp * wp].reshape(n, c, hp, wp)[:, :, pad:pad + h, pad:pad + w] = x.data
-    sn, sc, sl = buf.strides
-    # views[ki, kj] is the [N, C, Ho*Wp] window tap (ki, kj) multiplies
-    views = as_strided(buf, (k, k, n, c, m), (wp * sl, sl, sn, sc, stride * sl),
-                       writeable=False)
-    taps = list(np.ndindex(k, k))
-    wtaps = np.ascontiguousarray(kernel.data.transpose(2, 3, 0, 1))  # [k, k, F, C]
-    acc = np.matmul(wtaps[0, 0], views[0, 0])
-    prod = np.empty_like(acc)
-    for t in taps[1:]:
-        acc += np.matmul(wtaps[t], views[t], out=prod)
+    views = _taps(x.data, pad, hp, wp, k, ho, stride)
+    acc = _correlate(views, kernel.data)
     acc += bias.data[:, None]
     out = np.ascontiguousarray(acc.reshape(n, f, ho, wp)[:, :, :, :wo])
 
@@ -341,17 +346,17 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
             gz[:, :, :, :wo] = g
             gz = gz.reshape(n, f, m)
         dk = np.empty(kernel.shape, dtype=g.dtype)
-        for ki, kj in taps:
+        for ki, kj in np.ndindex(k, k):
             # batched GEMMs; BLAS consumes the transposed view directly
             dk[:, :, ki, kj] = np.matmul(gz, views[ki, kj].transpose(0, 2, 1)).sum(axis=0)
         _accumulate(kernel, dk)
         if x._backward is None and not x.requires_grad:
             return
-        gp = np.zeros((n, f, h + k - 1, w + k - 1), dtype=g.dtype)
-        lo = k - 1 - pad
-        gp[:, :, lo:lo + stride * ho:stride, lo:lo + stride * wo:stride] = g
-        wflip = kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, f * k * k)
-        _accumulate(x, (wflip[None] @ _im2col(gp, k, h, w)).reshape(n, c, h, w))
+        del gz  # freed before the input gradient's buffers
+        gviews = _taps(g, k - 1 - pad, h + k - 1, w + k - 1, k, h, dilate=stride)
+        wflip = kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)  # [C, F, k, k]
+        dx = _correlate(gviews, wflip).reshape(n, c, h, w + k - 1)
+        _accumulate(x, np.ascontiguousarray(dx[:, :, :, :w]))
 
     return _make(out, (x, kernel, bias), back)
 

@@ -30,10 +30,6 @@ from .binio import EPOCH, FormatError, Reader
 MAGIC = b"WFRS"
 VERSION = 1
 
-# Labels (MOD14A1 fire masks) are delivered at 1 km; everything is resampled
-# onto that grid.
-LABEL_RESOLUTION_M = 1000.0
-
 # Canonical channel order for the ten feature planes.
 CHANNELS = (
     "elevation",
@@ -232,50 +228,6 @@ def box_sums(plane, rows, cols) -> np.ndarray:
     (r0, r1), (c0, c1) = rows, cols
     return (integral[r1][:, c1] - integral[r0][:, c1]
             - integral[r1][:, c0] + integral[r0][:, c0])
-
-
-def resample(plane, src_geo: GeoTransform, dst_geo: GeoTransform, dst_shape,
-             method: str = "bilinear") -> np.ndarray:
-    """Regrid a plane onto dst_geo at dst_shape.
-
-    nearest picks the source pixel whose center is closest to the target
-    pixel center; bilinear interpolates the 4 surrounding centers. Both
-    clamp to the border, so output values never leave the source range.
-    """
-    plane = np.asarray(plane)
-    if plane.size == 0:
-        raise ValueError("source plane is empty")
-    if method not in ("nearest", "bilinear"):
-        raise ValueError(f"unknown resampling method {method!r}")
-    h, w = plane.shape
-    dh, dw = dst_shape
-    rows = np.arange(dh, dtype=np.float64)
-    cols = np.arange(dw, dtype=np.float64)
-    x = dst_geo.origin_x + cols * dst_geo.pixel_size
-    y = dst_geo.origin_y + rows * dst_geo.pixel_size
-    fc = (x - src_geo.origin_x) / src_geo.pixel_size
-    fr = (y - src_geo.origin_y) / src_geo.pixel_size
-
-    if method == "nearest":
-        ri = np.clip(np.floor(fr + 0.5).astype(np.int64), 0, h - 1)
-        ci = np.clip(np.floor(fc + 0.5).astype(np.int64), 0, w - 1)
-        return plane[np.ix_(ri, ci)]
-
-    r0 = np.floor(fr)
-    c0 = np.floor(fc)
-    wr = (fr - r0)[:, None]
-    wc = (fc - c0)[None, :]
-    r0i = np.clip(r0.astype(np.int64), 0, h - 1)
-    r1i = np.clip(r0.astype(np.int64) + 1, 0, h - 1)
-    c0i = np.clip(c0.astype(np.int64), 0, w - 1)
-    c1i = np.clip(c0.astype(np.int64) + 1, 0, w - 1)
-    p = plane.astype(np.float64)
-    top = p[np.ix_(r0i, c0i)] * (1 - wc) + p[np.ix_(r0i, c1i)] * wc
-    bot = p[np.ix_(r1i, c0i)] * (1 - wc) + p[np.ix_(r1i, c1i)] * wc
-    out = top * (1 - wr) + bot * wr
-    if np.issubdtype(plane.dtype, np.floating):
-        return out.astype(plane.dtype)
-    return out
 
 
 def normalize(stack: RasterStack, stats: ChannelStats) -> RasterStack:

@@ -200,6 +200,26 @@ def test_conv_keeps_no_patch_matrix_on_the_tape():
     assert held < 3 * x.data.nbytes + y.data.nbytes
 
 
+@pytest.mark.parametrize("c, f", [(16, 16), (8, 24)])
+def test_conv_backward_builds_no_patch_matrix(c, f):
+    """conv2d's backward peaks at a few padded copies of x and g, not at a
+    [N, F*k*k, H*W] patch matrix of g (9x g for a 3x3)."""
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(8, c, 32, 32)).astype(np.float32), requires_grad=True)
+    kernel = Tensor(rng.normal(size=(f, c, 3, 3)).astype(np.float32), requires_grad=True)
+    b = Tensor(np.zeros(f, np.float32), requires_grad=True)
+    y = nn.conv2d(x, kernel, b)
+    g = rng.normal(size=y.shape).astype(np.float32)
+    tracemalloc.start()
+    try:
+        y._backward(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert x.grad.shape == x.shape
+    assert peak < 3 * (x.data.nbytes + g.nbytes)
+
+
 # --- pooling / upsampling ----------------------------------------------------
 
 def test_max_pool_single_window():

@@ -15,7 +15,6 @@ from firecast.raster import (
     compute_stats,
     normalize,
     read_stack,
-    resample,
     write_stack,
 )
 
@@ -213,94 +212,6 @@ def test_dimension_overflow(tmp_path):
     p.write_bytes(struct.pack("<4sBIIH", b"WFRS", 1, 0, 16, 1))
     with pytest.raises(DimensionError):
         read_stack(p)
-
-
-# --- resampling --------------------------------------------------------------
-
-def bilinear_oracle(plane, src_geo, dst_geo, dst_shape):
-    """Per-pixel 4-neighbor interpolation, written independently."""
-    h, w = plane.shape
-    out = np.zeros(dst_shape)
-    for r in range(dst_shape[0]):
-        for c in range(dst_shape[1]):
-            x = dst_geo.origin_x + c * dst_geo.pixel_size
-            y = dst_geo.origin_y + r * dst_geo.pixel_size
-            fc = (x - src_geo.origin_x) / src_geo.pixel_size
-            fr = (y - src_geo.origin_y) / src_geo.pixel_size
-            r0, c0 = int(np.floor(fr)), int(np.floor(fc))
-            ar, ac = fr - r0, fc - c0
-            def at(rr, cc):
-                return plane[min(max(rr, 0), h - 1), min(max(cc, 0), w - 1)]
-            out[r, c] = ((1 - ar) * ((1 - ac) * at(r0, c0) + ac * at(r0, c0 + 1))
-                         + ar * ((1 - ac) * at(r0 + 1, c0) + ac * at(r0 + 1, c0 + 1)))
-    return out
-
-
-def test_identity_resample():
-    rng = np.random.default_rng(1)
-    plane = rng.normal(size=(9, 7))
-    geo = GeoTransform(10.0, 20.0, 1000.0)
-    for method in ("nearest", "bilinear"):
-        out = resample(plane, geo, geo, (9, 7), method)
-        np.testing.assert_allclose(out, plane, atol=1e-12)
-
-
-def test_constant_plane_any_geo():
-    plane = np.full((6, 6), 3.25)
-    src = GeoTransform(0.0, 0.0, 4000.0)
-    dst = GeoTransform(-1500.0, 2000.0, 1000.0)
-    for method in ("nearest", "bilinear"):
-        out = resample(plane, src, dst, (20, 20), method)
-        np.testing.assert_allclose(out, 3.25, atol=1e-12)
-
-
-def test_bilinear_upsample_matches_oracle():
-    plane = np.array([[0.0, 1.0], [2.0, 3.0]])
-    src = GeoTransform(0.0, 0.0, 1000.0)
-    dst = GeoTransform(0.0, 0.0, 500.0)
-    out = resample(plane, src, dst, (4, 4), "bilinear")
-    expected = bilinear_oracle(plane, src, dst, (4, 4))
-    np.testing.assert_allclose(out, expected, atol=1e-12)
-    # spot value computed by hand: dst pixel (1,1) sits at src (0.5, 0.5)
-    assert out[1, 1] == pytest.approx(1.5)
-
-
-def test_random_geo_matches_oracle():
-    rng = np.random.default_rng(7)
-    plane = rng.normal(size=(12, 10))
-    src = GeoTransform(5.0, -3.0, 900.0)
-    dst = GeoTransform(-250.0, 140.0, 370.0)
-    out = resample(plane, src, dst, (17, 23), "bilinear")
-    expected = bilinear_oracle(plane, src, dst, (17, 23))
-    np.testing.assert_allclose(out, expected, atol=1e-12)
-
-
-def test_bilinear_stays_in_source_range():
-    rng = np.random.default_rng(11)
-    for seed in range(10):
-        plane = np.random.default_rng(seed).normal(size=(8, 8))
-        src = GeoTransform(0.0, 0.0, 1000.0)
-        dst = GeoTransform(float(rng.uniform(-9000, 2000)),
-                           float(rng.uniform(-9000, 2000)),
-                           float(rng.uniform(200, 3000)))
-        out = resample(plane, src, dst, (15, 11), "bilinear")
-        assert out.min() >= plane.min() - 1e-12
-        assert out.max() <= plane.max() + 1e-12
-
-
-def test_nearest_picks_closest_center():
-    plane = np.arange(16.0).reshape(4, 4)
-    src = GeoTransform(0.0, 0.0, 1000.0)
-    # dst pixel centers land 0.4 px away from src pixel (1, 2)
-    dst = GeoTransform(2000.0 - 400.0, 1000.0, 1000.0)
-    out = resample(plane, src, dst, (1, 1), "nearest")
-    assert out[0, 0] == plane[1, 2]
-
-
-def test_resample_rejects_bad_method():
-    with pytest.raises(ValueError):
-        resample(np.ones((2, 2)), GeoTransform(0, 0, 1.0), GeoTransform(0, 0, 1.0),
-                 (2, 2), "cubic")
 
 
 # --- normalization -----------------------------------------------------------
