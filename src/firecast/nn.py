@@ -152,12 +152,12 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
+    """max(x, 0), which lets NaN through; the gradient passes where x > 0."""
 
     def back(g):
-        _accumulate(x, g * mask)
+        _accumulate(x, g * (x.data > 0))
 
-    return _make(np.where(mask, x.data, 0.0), (x,), back)
+    return _make(np.maximum(x.data, 0), (x,), back)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -361,33 +361,53 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     return _make(out, (x, kernel, bias), back)
 
 
+def _quadrants(a):
+    """The four stride-2 views a[:, :, i::2, j::2] of a [N,C,H,W] array, in
+    row-major window order: quadrant (i, j) holds pixel (i, j) of every
+    2x2 window."""
+    return [a[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1)]
+
+
 def max_pool2(x: Tensor) -> Tensor:
-    """2x2 non-overlapping max; ties route the gradient to the first
-    occurrence in row-major window order."""
+    """2x2 non-overlapping max, the elementwise max of x's four quadrants.
+
+    Backward visits the quadrants in row-major window order and hands each
+    window's gradient to the first quadrant equal to the max; a running
+    `taken` mask keeps later ties out, so ties go to the first occurrence.
+    The gradient is copied bit for bit, as an AND of g's bits with the mask
+    widened to all ones, and +0 fills the rest of each window (g * mask
+    would leave -0 there for negative g, and NaN for infinite g)."""
     n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"max_pool2: H and W must be even, got {h}x{w}")
-    win = x.data.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    win = win.reshape(n, c, h // 2, w // 2, 4)
-    arg = win.argmax(axis=-1)  # first occurrence on ties
-    out = np.take_along_axis(win, arg[..., None], axis=-1)[..., 0]
+    q0, q1, q2, q3 = _quadrants(x.data)
+    out = np.maximum(q0, q1)
+    np.maximum(out, q2, out=out)
+    np.maximum(out, q3, out=out)
 
     def back(g):
-        dwin = np.zeros((n, c, h // 2, w // 2, 4), dtype=g.dtype)
-        np.put_along_axis(dwin, arg[..., None], g[..., None], axis=-1)
-        dx = dwin.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-        _accumulate(x, dx.reshape(n, c, h, w))
+        bits = np.dtype(f"u{g.itemsize}")
+        dx = np.empty(x.shape, dtype=g.dtype)
+        taken = np.zeros(out.shape, dtype=bool)
+        for q, dq in zip(_quadrants(x.data), _quadrants(dx)):
+            hit = q == out
+            np.greater(hit, taken, out=hit)  # hit and not taken
+            taken |= hit
+            keep = np.negative(hit, dtype=bits)  # True -> all bits set
+            np.bitwise_and(g.view(bits), keep, out=dq.view(bits))
+        _accumulate(x, dx)
 
     return _make(out, (x,), back)
 
 
 def upsample2(x: Tensor) -> Tensor:
-    """Nearest-neighbor 2x replication; backward sums each 2x2 child block."""
-    n, c, h, w = x.shape
+    """Nearest-neighbor 2x replication; backward sums g's four quadrants,
+    each 2x2 child block's sum."""
     out = np.repeat(np.repeat(x.data, 2, axis=2), 2, axis=3)
 
     def back(g):
-        _accumulate(x, g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5)))
+        q0, q1, q2, q3 = _quadrants(g)
+        _accumulate(x, (q0 + q1) + (q2 + q3))
 
     return _make(out, (x,), back)
 

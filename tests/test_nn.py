@@ -283,6 +283,79 @@ def test_upsample_grads():
         check_grads(lambda: nn.tsum(nn.sigmoid(nn.upsample2(x))), [x])
 
 
+def pool_reference(x):
+    """max_pool2 as argmax over each window's 4 values, in row-major
+    window order, then take_along_axis / put_along_axis."""
+    n, c, h, w = x.shape
+    win = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
+    win = win.reshape(n, c, h // 2, w // 2, 4)
+    arg = win.argmax(axis=-1)  # first occurrence on ties
+    out = np.take_along_axis(win, arg[..., None], axis=-1)[..., 0]
+
+    def back(g):
+        dwin = np.zeros((n, c, h // 2, w // 2, 4), dtype=g.dtype)
+        np.put_along_axis(dwin, arg[..., None], g[..., None], axis=-1)
+        dx = dwin.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
+        return dx.reshape(n, c, h, w)
+
+    return out, back
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 3), c=st.integers(1, 3), h=st.sampled_from([2, 4, 6, 8, 10, 12]),
+       w=st.sampled_from([2, 4, 6, 8, 10, 12]),
+       dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1))
+def test_max_pool_matches_argmax_reference(n, c, h, w, dtype, seed):
+    """Dense ties and signed zeros: values from {-1, -0, 0, 1}; the
+    gradient, some of it -0, must be the reference's bit for bit."""
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.choice(np.array([-1.0, -0.0, 0.0, 1.0], dtype=dtype), size=(n, c, h, w)),
+               requires_grad=True)
+    out = nn.max_pool2(x)
+    ref_out, ref_back = pool_reference(x.data)
+    np.testing.assert_array_equal(out.data, ref_out)  # -0 == 0
+    g = rng.normal(size=out.shape).astype(dtype)
+    g[rng.random(g.shape) < 0.2] = -0.0
+    out._backward(g)
+    assert out.data.dtype == x.grad.dtype == dtype
+    assert x.grad.tobytes() == ref_back(g).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_upsample_backward_matches_block_sum(dtype):
+    rng = np.random.default_rng(8)
+    n, c, h, w = 3, 4, 5, 6
+    x = Tensor(np.zeros((n, c, h, w), dtype=dtype), requires_grad=True)
+    y = nn.upsample2(x)
+
+    def reference(g):
+        return g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5))
+
+    g = rng.integers(-50, 51, size=y.shape).astype(dtype)
+    y._backward(g)
+    assert x.grad.dtype == dtype
+    np.testing.assert_array_equal(x.grad, reference(g))
+    x.grad = None
+    g = rng.normal(size=y.shape).astype(dtype)
+    y._backward(g)
+    assert x.grad.dtype == dtype
+    # summation order only: the error is relative to the sum of |terms|
+    scale = reference(np.abs(g))
+    assert (np.abs(x.grad - reference(g)) <= 1e-6 * scale).all()
+
+
+def test_relu_propagates_nan_and_gates_gradient_on_positive():
+    x = Tensor(np.array([np.nan, -2.0, -0.0, 0.0, 3.0], dtype=np.float32),
+               requires_grad=True)
+    y = nn.relu(x)
+    assert np.isnan(y.data[0])
+    np.testing.assert_array_equal(y.data[1:], [0.0, 0.0, 0.0, 3.0])
+    assert y.data.dtype == np.float32
+    g = np.array([1.5, 2.5, 3.5, 4.5, 5.5], dtype=np.float32)
+    y._backward(g)
+    np.testing.assert_array_equal(x.grad, [0.0, 0.0, 0.0, 0.0, 5.5])
+
+
 # --- elementwise ---------------------------------------------------------
 
 def test_activation_values():
