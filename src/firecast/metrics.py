@@ -40,12 +40,15 @@ def roc_auc(scores, labels) -> float:
     """Probability a random positive outscores a random negative (ties 1/2).
 
     Mann-Whitney rank form; equal to the trapezoidal area under the ROC
-    curve, midranks handling ties.
+    curve, midranks handling ties. NaN scores raise ValueError.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if scores.shape != labels.shape:
         raise ValueError(f"scores {scores.shape} vs labels {labels.shape}")
+    n_nan = int(np.isnan(scores).sum())
+    if n_nan:
+        raise ValueError(f"roc_auc: {n_nan} of {scores.size} scores are NaN")
     pos = labels == 1
     n_pos = int(pos.sum())
     n_neg = labels.size - n_pos

@@ -123,8 +123,8 @@ class Conv:
                              requires_grad=True)
         self.bias = Tensor(np.zeros(out_ch), requires_grad=True)
 
-    def __call__(self, x, stride=1):
-        return nn.conv2d(x, self.kernel, self.bias, stride)
+    def __call__(self, x):
+        return nn.conv2d(x, self.kernel, self.bias)
 
     def named_params(self, prefix):
         return {f"{prefix}.w": self.kernel, f"{prefix}.b": self.bias}

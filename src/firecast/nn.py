@@ -201,21 +201,25 @@ def concat_channels(tensors) -> Tensor:
     return concat(tensors, axis=1)
 
 
+def _take(x: Tensor, key) -> Tensor:
+    """x.data[key] as a view; backward places g into zeros of x's shape."""
+
+    def back(g):
+        full = np.zeros(x.shape, dtype=x.data.dtype)
+        full[key] = g
+        _accumulate(x, full)
+
+    return _make(x.data[key], (x,), back)
+
+
 def split_channels(x: Tensor, sizes) -> list[Tensor]:
     """The inverse of concat_channels: [N,sum(sizes),H,W] -> one view per
-    size; each piece's backward places its g into zeros of x's shape."""
+    size."""
     if x.data.ndim != 4 or sum(sizes) != x.shape[1]:
         raise ShapeError(f"split_channels: {x.shape} into {list(sizes)}")
     offsets = np.cumsum([0] + list(sizes))
-    pieces = []
-    for lo, hi in zip(offsets[:-1], offsets[1:]):
-        def back(g, lo=lo, hi=hi):
-            full = np.zeros(x.shape, dtype=x.data.dtype)
-            full[:, lo:hi] = g
-            _accumulate(x, full)
-
-        pieces.append(_make(x.data[:, lo:hi], (x,), back))
-    return pieces
+    return [_take(x, (slice(None), slice(lo, hi)))
+            for lo, hi in zip(offsets[:-1], offsets[1:])]
 
 
 def tsum(x: Tensor) -> Tensor:
@@ -238,13 +242,7 @@ def tmean(x: Tensor) -> Tensor:
 
 def slice_time(x: Tensor, t: int) -> Tensor:
     """Select frame t of a [N,T,...] tensor."""
-
-    def back(g):
-        full = np.zeros(x.shape, dtype=x.data.dtype)
-        full[:, t] = g
-        _accumulate(x, full)
-
-    return _make(x.data[:, t], (x,), back)
+    return _take(x, (slice(None), t))
 
 
 def stable_sigmoid(z, dtype=np.float64):
@@ -260,25 +258,24 @@ def stable_sigmoid(z, dtype=np.float64):
 # spatial ops
 # ---------------------------------------------------------------------------
 
-def _taps(src, lo, hp, wp, k, ho, stride=1, dilate=1):
-    """Strided tap views [k, k, N, C, ho*wp] of one zero buffer [N, C, L]
-    that holds src [N,C,H,W] at (lo, lo) of an hp x wp map with row pitch
-    wp, on every dilate-th row and column. views[ki, kj] is the window that
-    tap (ki, kj) of a stride-`stride` correlation reads for output rows
-    0..ho-1; L leaves tail room for the last tap. When src fills the whole
-    buffer, the views read src's own memory through a reshape."""
+def _taps(src, k):
+    """Tap views [k, k, N, C, H*Wp] of src [N,C,H,W] zero-padded by
+    (k-1)//2 into one buffer [N, C, (H+k-1)*Wp + k-1] of maps with row
+    pitch Wp = W + k - 1. views[ki, kj] is the window that tap (ki, kj) of
+    a stride-1 'same' correlation reads for every output row; the k - 1
+    tail leaves room for the last tap. With nothing to pad (k = 1), the
+    views read src's own memory through a reshape."""
     n, c, h, w = src.shape
-    m = ho * wp
-    length = max(hp * wp, (k - 1) * (wp + 1) + stride * (m - 1) + 1)
-    if length == h * w:  # nothing to pad or dilate: src as it is
+    pad = (k - 1) // 2
+    wp = w + k - 1
+    if k == 1:
         buf = src.reshape(n, c, h * w)
     else:
-        buf = np.zeros((n, c, length), dtype=src.dtype)
-        rows = slice(lo, lo + dilate * (h - 1) + 1, dilate)
-        cols = slice(lo, lo + dilate * (w - 1) + 1, dilate)
-        buf[:, :, :hp * wp].reshape(n, c, hp, wp)[:, :, rows, cols] = src
+        buf = np.zeros((n, c, (h + k - 1) * wp + k - 1), dtype=src.dtype)
+        maps = buf[:, :, :(h + k - 1) * wp].reshape(n, c, h + k - 1, wp)
+        maps[:, :, pad:pad + h, pad:pad + w] = src
     sn, sc, sl = buf.strides
-    return as_strided(buf, (k, k, n, c, m), (wp * sl, sl, sn, sc, stride * sl),
+    return as_strided(buf, (k, k, n, c, h * wp), (wp * sl, sl, sn, sc, sl),
                       writeable=False)
 
 
@@ -294,57 +291,51 @@ def _correlate(views, kernel):
     return acc
 
 
-def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
-    """Cross-correlation with 'same' zero padding of (k-1)//2 plus bias.
+def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
+    """Stride-1 cross-correlation with 'same' zero padding of (k-1)//2 plus
+    bias, for odd k.
 
-    x [N,C,H,W], kernel [F,C,k,k], bias [F] -> [N,F,H/stride,W/stride].
+    x [N,C,H,W], kernel [F,C,k,k], bias [F] -> [N,F,H,W].
 
-    All three products build no patch matrix. Forward and input gradient
-    are one correlation, the accumulating kn2row formulation (Anderson et
-    al., arXiv 1709.03395): the source is zero-padded once into a buffer
-    [N, C, L] of maps with row pitch Wp, and each of the k*k taps is one
-    batched GEMM of the kernel's [F, C] slice with a strided view of that
-    buffer (_taps), accumulated into [N, F, Ho*Wp] (_correlate). The
-    Wp - Wo columns past each output row are junk and are dropped.
+    All three products build no patch matrix and share one tap layout, the
+    accumulating kn2row formulation (Anderson et al., arXiv 1709.03395):
+    the source is zero-padded by (k-1)//2 into a buffer of maps with row
+    pitch Wp = W + k - 1, and each of the k*k taps is one batched GEMM of
+    the kernel's [F, C] slice with a strided view of that buffer (_taps),
+    accumulated into [N, F, H*Wp] (_correlate). The k - 1 columns past each
+    output row are junk and are dropped.
 
-    - Forward: x padded by pad (Wp = W + 2*pad); a 1x1 conv with nothing
-      to pad reads x's own memory. Backward keeps only this buffer.
-    - Kernel gradient: one GEMM per tap of g, zero-filled into the
-      Ho x Wp layout, with the forward's tap views.
-    - Input gradient: g dilated by the stride and padded by k-1-pad
-      (Wp = W + k-1), correlated with the kernel flipped and its F, C
-      axes swapped (a transposed conv, arXiv 1603.07285).
+    - Forward: the taps of x; a 1x1 conv reads x's own memory. Backward
+      keeps only this buffer.
+    - Input gradient: the taps of g, correlated with the kernel flipped
+      and its F, C axes swapped (the transposed conv, arXiv 1603.07285,
+      which at stride 1 and odd k is the forward's own correlation).
+    - Kernel gradient: one GEMM per tap of the forward's tap views with
+      g's centre tap view, which is g at pitch Wp with zeros in the junk
+      columns.
     """
-    if stride not in (1, 2):
-        raise ShapeError(f"conv2d: stride must be 1 or 2, got {stride}")
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ShapeError("conv2d: x must be [N,C,H,W] and kernel [F,C,k,k]")
     n, c, h, w = x.shape
     f, ck, kh, kw = kernel.shape
-    if kh != kw or ck != c:
-        raise ShapeError(f"conv2d: kernel {kernel.shape} incompatible with input {x.shape}")
+    if kh != kw or kh % 2 == 0 or ck != c:
+        raise ShapeError(f"conv2d: kernel {kernel.shape} must be an odd k x k "
+                         f"over the {c} channels of input {x.shape}")
     if bias.shape != (f,):
         raise ShapeError(f"conv2d: bias {bias.shape} must be ({f},)")
     k = kh
     pad = (k - 1) // 2
-    hp, wp = h + 2 * pad, w + 2 * pad
-    ho = (hp - k) // stride + 1
-    wo = (wp - k) // stride + 1
-    m = ho * wp  # output columns per map, Wp - Wo junk per row
+    wp = w + k - 1
 
-    views = _taps(x.data, pad, hp, wp, k, ho, stride)
+    views = _taps(x.data, k)
     acc = _correlate(views, kernel.data)
     acc += bias.data[:, None]
-    out = np.ascontiguousarray(acc.reshape(n, f, ho, wp)[:, :, :, :wo])
+    out = np.ascontiguousarray(acc.reshape(n, f, h, wp)[:, :, :, :w])
 
     def back(g):
-        _accumulate(bias, g.reshape(n, f, ho * wo).sum(axis=(0, 2)))
-        if wo == wp:  # no junk columns
-            gz = g.reshape(n, f, m)
-        else:
-            gz = np.zeros((n, f, ho, wp), dtype=g.dtype)  # zeros in the junk columns
-            gz[:, :, :, :wo] = g
-            gz = gz.reshape(n, f, m)
+        _accumulate(bias, g.reshape(n, f, h * w).sum(axis=(0, 2)))
+        gviews = _taps(g, k)
+        gz = gviews[pad, pad]  # g at pitch Wp, zeros in the junk columns
         dk = np.empty(kernel.shape, dtype=g.dtype)
         for ki, kj in np.ndindex(k, k):
             # batched GEMMs; BLAS consumes the transposed view directly
@@ -352,10 +343,8 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
         _accumulate(kernel, dk)
         if x._backward is None and not x.requires_grad:
             return
-        del gz  # freed before the input gradient's buffers
-        gviews = _taps(g, k - 1 - pad, h + k - 1, w + k - 1, k, h, dilate=stride)
         wflip = kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)  # [C, F, k, k]
-        dx = _correlate(gviews, wflip).reshape(n, c, h, w + k - 1)
+        dx = _correlate(gviews, wflip).reshape(n, c, h, wp)
         _accumulate(x, np.ascontiguousarray(dx[:, :, :, :w]))
 
     return _make(out, (x, kernel, bias), back)
@@ -419,13 +408,13 @@ class ConvLSTMWeights:
 
     GATES = ("i", "f", "o", "g")
 
-    def __init__(self, in_channels, hidden, rng, k=3):
-        fan_in = (in_channels + hidden) * k * k
+    def __init__(self, in_channels, hidden, rng):
+        fan_in = (in_channels + hidden) * 9
         self.kernels = {}
         self.biases = {}
         for gate in self.GATES:
             self.kernels[gate] = Tensor(
-                he_uniform(rng, (hidden, in_channels + hidden, k, k), fan_in),
+                he_uniform(rng, (hidden, in_channels + hidden, 3, 3), fan_in),
                 requires_grad=True)
             self.biases[gate] = Tensor(np.zeros(hidden), requires_grad=True)
 

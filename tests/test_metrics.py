@@ -70,6 +70,26 @@ def test_single_class_rejected():
         roc_auc([0.1, 0.9], [0, 0])
 
 
+def test_nan_scores_rejected():
+    with pytest.raises(ValueError, match="1 of 4 scores are NaN"):
+        roc_auc([0.1, math.nan, 0.3, 0.7], [0, 1, 0, 1])
+
+
+def test_evaluate_rejects_a_nan_feature_pixel():
+    """A NaN input pixel turns its tile's probabilities NaN; evaluate must
+    say so rather than rank them into an AUC."""
+    rng = np.random.default_rng(0)
+    model = build(ModelConfig("autoencoder", (4,), in_channels=3, tile=8), rng)
+    samples = [Sample(features=rng.standard_normal((3, 8, 8)).astype(np.float32),
+                      label=(np.arange(64).reshape(8, 8) % 2).astype(np.int8),
+                      dates=(datetime.date(2020, 1, 1),), origin=(0, 0), split="test",
+                      kind="positive")
+               for _ in range(6)]
+    samples[2].features[1, 3, 4] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="scores are NaN"):
+        metrics.evaluate(model, samples)
+
+
 def test_auc_matches_pair_oracle_100_cases():
     for seed in range(100):
         rng = np.random.default_rng(seed)

@@ -14,13 +14,13 @@ from firecast.nn import Tensor
 from gradcheck import check_grads, numeric_grad, rel_err
 
 
-def conv_oracle(x, k, b, stride):
+def conv_oracle(x, k, b):
     """Direct 6-loop reference convolution with same zero padding."""
     n_, c_, h_, w_ = x.shape
     f_, _, kk, _ = k.shape
     pad = (kk - 1) // 2
-    ho = (h_ + 2 * pad - kk) // stride + 1
-    wo = (w_ + 2 * pad - kk) // stride + 1
+    ho = h_ + 2 * pad - kk + 1
+    wo = w_ + 2 * pad - kk + 1
     out = np.zeros((n_, f_, ho, wo))
     for n in range(n_):
         for f in range(f_):
@@ -30,8 +30,8 @@ def conv_oracle(x, k, b, stride):
                     for c in range(c_):
                         for ki in range(kk):
                             for kj in range(kk):
-                                ii = oi * stride + ki - pad
-                                jj = oj * stride + kj - pad
+                                ii = oi + ki - pad
+                                jj = oj + kj - pad
                                 if 0 <= ii < h_ and 0 <= jj < w_:
                                     acc += x[n, c, ii, jj] * k[f, c, ki, kj]
                     out[n, f, oi, oj] = acc
@@ -57,23 +57,13 @@ def test_conv_identity_1x1():
     np.testing.assert_allclose(nn.conv2d(x, k, b).data, x.data)
 
 
-def test_conv_matches_loop_oracle_stride2():
-    rng = np.random.default_rng(42)
-    x = rng.normal(size=(2, 3, 8, 8))
-    k = rng.normal(size=(4, 3, 3, 3))
-    b = rng.normal(size=4)
-    out = nn.conv2d(Tensor(x), Tensor(k), Tensor(b), stride=2).data
-    assert out.shape == (2, 4, 4, 4)
-    assert np.abs(out - conv_oracle(x, k, b, 2)).max() < 1e-12
-
-
 def test_conv_matches_loop_oracle_stride1():
     rng = np.random.default_rng(43)
     x = rng.normal(size=(1, 2, 6, 5))
     k = rng.normal(size=(3, 2, 3, 3))
     b = rng.normal(size=3)
-    out = nn.conv2d(Tensor(x), Tensor(k), Tensor(b), stride=1).data
-    assert np.abs(out - conv_oracle(x, k, b, 1)).max() < 1e-12
+    out = nn.conv2d(Tensor(x), Tensor(k), Tensor(b)).data
+    assert np.abs(out - conv_oracle(x, k, b)).max() < 1e-12
 
 
 def test_conv_linearity():
@@ -95,10 +85,10 @@ def test_conv_shape_errors():
     with pytest.raises(nn.ShapeError):
         nn.conv2d(x, Tensor(np.zeros((1, 2, 3, 3))), Tensor(np.zeros(2)))
     with pytest.raises(nn.ShapeError):
-        nn.conv2d(x, Tensor(np.zeros((1, 2, 3, 3))), Tensor(np.zeros(1)), stride=3)
+        nn.conv2d(x, Tensor(np.zeros((1, 2, 2, 2))), Tensor(np.zeros(1)))
 
 
-def col2im_input_grad(g, kernel, x_shape, stride):
+def col2im_input_grad(g, kernel, x_shape):
     """Input gradient of conv2d by scattering each patch's gradient back
     into the padded input, k*k slice-adds (the reference for conv2d's
     transposed-conv backward)."""
@@ -110,21 +100,20 @@ def col2im_input_grad(g, kernel, x_shape, stride):
     dxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
     for ki in range(k):
         for kj in range(k):
-            dxp[:, :, ki:ki + stride * ho:stride,
-                kj:kj + stride * wo:stride] += dcols[:, :, ki, kj]
+            dxp[:, :, ki:ki + ho, kj:kj + wo] += dcols[:, :, ki, kj]
     return dxp[:, :, pad:pad + h, pad:pad + w]
 
 
 @settings(max_examples=150, deadline=None)
 @given(n=st.integers(1, 4), c=st.integers(1, 4), f=st.integers(1, 4),
-       h=st.integers(1, 9), w=st.integers(1, 9), k=st.sampled_from([1, 2, 3, 5]),
-       stride=st.sampled_from([1, 2]), seed=st.integers(0, 2**32 - 1))
-def test_conv_input_grad_is_the_adjoint(n, c, f, h, w, k, stride, seed):
+       h=st.integers(1, 9), w=st.integers(1, 9), k=st.sampled_from([1, 3, 5]),
+       seed=st.integers(0, 2**32 - 1))
+def test_conv_input_grad_is_the_adjoint(n, c, f, h, w, k, seed):
     rng = np.random.default_rng(seed)
     x = Tensor(rng.normal(size=(n, c, h, w)), requires_grad=True)
     kernel = Tensor(rng.normal(size=(f, c, k, k)))
     b = Tensor(rng.normal(size=f))
-    y = nn.conv2d(x, kernel, b, stride)
+    y = nn.conv2d(x, kernel, b)
     g = rng.normal(size=y.shape)
     nn.backward(nn.tsum(nn.mul(y, Tensor(g))))
     # <A x, g> == <x, A^T g> for the linear part A of the conv
@@ -132,21 +121,20 @@ def test_conv_input_grad_is_the_adjoint(n, c, f, h, w, k, stride, seed):
     xat = x.data * x.grad
     scale = np.abs(ax).sum() + np.abs(xat).sum()
     assert abs(ax.sum() - xat.sum()) <= 1e-10 * scale
-    ref = col2im_input_grad(g, kernel.data, x.shape, stride)
+    ref = col2im_input_grad(g, kernel.data, x.shape)
     assert np.abs(x.grad - ref).max() <= 1e-10 * max(np.abs(ref).max(), 1.0)
 
 
-@pytest.mark.parametrize("stride", [1, 2])
-def test_conv_grads(stride):
+def test_conv_grads():
     for seed in range(20):
         rng = np.random.default_rng(seed)
         x = Tensor(rng.uniform(-1, 1, size=(1, 2, 4, 4)), requires_grad=True)
         k = Tensor(rng.uniform(-1, 1, size=(3, 2, 3, 3)), requires_grad=True)
         b = Tensor(rng.uniform(-1, 1, size=3), requires_grad=True)
-        check_grads(lambda: nn.tsum(nn.tanh(nn.conv2d(x, k, b, stride))), [x, k, b])
+        check_grads(lambda: nn.tsum(nn.tanh(nn.conv2d(x, k, b))), [x, k, b])
 
 
-def conv_param_grads_ref(x, g, k, stride):
+def conv_param_grads_ref(x, g, k):
     """Kernel and bias gradients of conv2d as one einsum over the windows of
     the zero-padded input (the reference for conv2d's tap-by-tap GEMMs)."""
     pad = (k - 1) // 2
@@ -155,15 +143,15 @@ def conv_param_grads_ref(x, g, k, stride):
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad + k), (pad, pad + k)))
     _, _, ho, wo = g.shape
     win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-    win = win[:, :, :stride * ho:stride, :stride * wo:stride][:, :, :ho, :wo]
+    win = win[:, :, :ho, :wo]
     return np.einsum("nfyx,ncyxij->fcij", g, win), g.sum(axis=(0, 2, 3))
 
 
 @settings(max_examples=150, deadline=None)
 @given(n=st.integers(1, 3), c=st.integers(1, 4), f=st.integers(1, 4),
-       h=st.integers(1, 9), w=st.integers(1, 9), k=st.sampled_from([1, 2, 3, 5]),
-       stride=st.sampled_from([1, 2]), seed=st.integers(0, 2**32 - 1))
-def test_conv_kernel_and_bias_grads_match_einsum(n, c, f, h, w, k, stride, seed):
+       h=st.integers(1, 9), w=st.integers(1, 9), k=st.sampled_from([1, 3, 5]),
+       seed=st.integers(0, 2**32 - 1))
+def test_conv_kernel_and_bias_grads_match_einsum(n, c, f, h, w, k, seed):
     rng = np.random.default_rng(seed)
     x64 = rng.normal(size=(n, c, h, w))
     k64 = rng.normal(size=(f, c, k, k))
@@ -172,12 +160,12 @@ def test_conv_kernel_and_bias_grads_match_einsum(n, c, f, h, w, k, stride, seed)
         x = Tensor(x64.astype(dtype), requires_grad=True)
         kernel = Tensor(k64.astype(dtype), requires_grad=True)
         b = Tensor(b64.astype(dtype), requires_grad=True)
-        y = nn.conv2d(x, kernel, b, stride)
+        y = nn.conv2d(x, kernel, b)
         g = rng.normal(size=y.shape).astype(dtype)
         nn.backward(nn.tsum(nn.mul(y, Tensor(g))))
         assert {t.dtype for t in (y.data, x.grad, kernel.grad, b.grad)} == {np.dtype(dtype)}
         assert x.grad.shape == x.shape and kernel.grad.shape == kernel.shape
-        dk, db = conv_param_grads_ref(x64, g.astype(np.float64), k, stride)
+        dk, db = conv_param_grads_ref(x64, g.astype(np.float64), k)
         scale = max(np.abs(dk).max(initial=0.0), np.abs(db).max(initial=0.0), 1.0)
         assert np.abs(kernel.grad - dk).max(initial=0.0) <= tol * scale
         assert np.abs(b.grad - db).max(initial=0.0) <= tol * scale
@@ -689,13 +677,12 @@ def test_slice_time_grads():
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 2), c=st.integers(1, 3), f=st.integers(1, 3),
-       h=st.sampled_from([4, 6, 8]), k=st.sampled_from([1, 3]),
-       stride=st.sampled_from([1, 2]))
-def test_conv_output_shape_formula(n, c, f, h, k, stride):
+       h=st.sampled_from([4, 6, 8]), k=st.sampled_from([1, 3]))
+def test_conv_output_shape_formula(n, c, f, h, k):
     x = Tensor(np.zeros((n, c, h, h)))
-    out = nn.conv2d(x, Tensor(np.zeros((f, c, k, k))), Tensor(np.zeros(f)), stride)
+    out = nn.conv2d(x, Tensor(np.zeros((f, c, k, k))), Tensor(np.zeros(f)))
     pad = (k - 1) // 2
-    expect = (h + 2 * pad - k) // stride + 1
+    expect = h + 2 * pad - k + 1
     assert out.shape == (n, f, expect, expect)
 
 
