@@ -50,9 +50,23 @@ _TRAILER = struct.Struct("<qddd")
 # Reject absurd headers before allocating planes.
 _MAX_ELEMENTS = 2**31
 
+# the fire-mask codes as int8 bytes: -1 uncertain, 0 no fire, 1 fire
+_MASK_CODES = np.array([-1, 0, 1], np.int8).tobytes()
+
 
 class DimensionError(FormatError):
     """Header declares empty or implausibly large planes."""
+
+
+def is_fire_mask(values) -> bool:
+    """Whether every value, as given, is a fire-mask code (1 fire, 0 no
+    fire, -1 uncertain): a cast to int8 must not make one out of another
+    value, such as 257, 0.7 or a uint8 255."""
+    values = np.asarray(values)
+    with np.errstate(invalid="ignore"):
+        coded = values.astype(np.int8, copy=False)
+    return ((coded is values or np.array_equal(coded, values))
+            and not coded.tobytes().translate(None, _MASK_CODES))
 
 
 @dataclass(frozen=True)
@@ -88,6 +102,8 @@ class RasterStack:
 
     def __post_init__(self):
         self.channels = np.asarray(self.channels, dtype=np.float32)
+        if not is_fire_mask(self.fire_mask):
+            raise ValueError("fire_mask values must be in {-1, 0, 1}")
         self.fire_mask = np.asarray(self.fire_mask, dtype=np.int8)
         self.channel_names = tuple(self.channel_names)
         if self.channels.ndim != 3:
@@ -100,9 +116,6 @@ class RasterStack:
             raise ValueError("channel names must be unique")
         if self.channels.shape[0] and self.channels.shape[1:] != self.fire_mask.shape:
             raise ValueError("channel planes and fire_mask must share (height, width)")
-        bad = ~np.isin(self.fire_mask, (-1, 0, 1))
-        if bad.any():
-            raise ValueError("fire_mask values must be in {-1, 0, 1}")
 
     @property
     def height(self):

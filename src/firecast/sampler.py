@@ -10,16 +10,17 @@ the `ahead` days after its feature day t, and its features are the
   sequence    (w, w)  features days t-w+1..t, label as in aggregated
 
 Every task yields one Sample type: a daily or aggregated sample holds
-one [C,S,S] feature frame, a sequence sample [T,C,S,S] frames, one date
-per frame. Samples are views, not copies: a built sample's features view
-one [D,C,H,W] array of the stacks' channels, z-scored with the channel
-stats of the train-split days only, and its label views its day's label
-plane, and a sample read from a WFDS file views the file's bytes.
-Tiles are placed one per fire cluster (single-linkage chaining with a
-distance threshold), negatives are drawn uniformly from the same day's
-fire-free windows at a fixed ratio, and whole 7-day blocks are assigned
-to train/val/test with the last day of each block excluded so no two
-splits hold adjacent label days.
+one [C,S,S] feature frame, a sequence sample [T,C,S,S] frames, and each
+stores one date, its last frame's. Samples are views, not copies: a
+built sample's features view one [D,C,H,W] array of the stacks'
+channels, z-scored with the channel stats of the train-split days only,
+and its label views its day's label plane, and a sample read from a WFDS
+file views the file's bytes. The placement functions give window
+origins, one per fire cluster (single-linkage chaining with a distance
+threshold) and negatives drawn uniformly from the same day's fire-free
+windows at a fixed ratio; build_dataset cuts every sample from them.
+Whole 7-day blocks are assigned to train/val/test with the last day of
+each block excluded so no two splits hold adjacent label days.
 
 WFDS dataset files are little-endian, with no padding:
 
@@ -32,8 +33,9 @@ WFDS dataset files are little-endian, with no padding:
     (u32), origin col (u32), time steps T (u8, 1 unless sequence),
     channels C (u16), tile side S (u16)
   followed by T*C*S*S "<f4" features in (T,) C, S, S order and S*S int8
-  labels in {-1, 0, 1}, row-major. All samples of a file share one task,
-  and a sequence sample has T >= 1.
+  labels in {-1, 0, 1}, row-major. All samples of a file share one task
+  and one (T, C, S); C and S are at least 1, and T is 1 unless the task
+  is sequence, where T >= 1.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ import numpy as np
 
 from . import raster
 from .binio import EPOCH, FormatError, Reader
-from .raster import GeoTransform, RasterStack, box_sums
+from .raster import GeoTransform, RasterStack, box_sums, is_fire_mask
 
 BLOCK_DAYS = 7
 # trailing days of each block left out of every split
@@ -95,25 +97,22 @@ class SamplerConfig:
 
 @dataclass
 class Sample:
-    """A feature tile and its label; the label window starts the day after
-    the last frame."""
+    """A feature tile and its label. A sequence's T frames are the T
+    consecutive days ending on `date`; the label window starts the day
+    after it."""
 
     features: np.ndarray  # float32 [C, S, S], or [T, C, S, S] for sequences
     label: np.ndarray  # int8 [S, S], values in {-1, 0, 1}
-    dates: tuple[datetime.date, ...]  # one per frame, strictly consecutive
+    date: datetime.date  # the last frame's day
     origin: tuple[int, int]  # (row, col) of the window in the source grid
     split: str
     kind: str  # positive | negative
-
-    @property
-    def date(self):
-        return self.dates[-1]
 
 
 def last_frame(samples) -> list[Sample]:
     """Each sequence sample's final frame as a sample sharing its arrays,
     so an image model reads the same tiles a sequence model does."""
-    return [replace(s, features=s.features[-1], dates=s.dates[-1:]) for s in samples]
+    return [replace(s, features=s.features[-1]) for s in samples]
 
 
 @dataclass(frozen=True)
@@ -230,31 +229,22 @@ def _window(a, origin, t):
     return a[..., r0:r0 + t, c0:c0 + t]
 
 
-def _tile(stack, origin, t, split, kind) -> Sample:
-    """The t x t window at origin, as views of the stack's arrays."""
-    return Sample(features=_window(stack.channels, origin, t),
-                  label=_window(stack.fire_mask, origin, t),
-                  dates=(stack.date,), origin=origin, split=split, kind=kind)
-
-
-def extract_positive_tiles(stack: RasterStack, clusters, cfg: SamplerConfig,
-                           split: str = "train") -> list[Sample]:
-    """One tile per cluster, centered on its rounded centroid and clamped
-    inside the grid; labels come from the stack's fire mask."""
+def extract_positive_tiles(stack: RasterStack, clusters,
+                           cfg: SamplerConfig) -> list[tuple[int, int]]:
+    """The (row, col) origin of one tile per cluster, centered on its
+    rounded centroid and clamped inside the stack's grid."""
     t = cfg.tile_size
     if stack.height < t or stack.width < t:
         raise ValueError(
             f"grid {stack.height}x{stack.width} smaller than tile size {t}")
-    return [_tile(stack, _window_origin(c.centroid(), (stack.height, stack.width), t),
-                  t, split, "positive") for c in clusters]
+    return [_window_origin(c.centroid(), (stack.height, stack.width), t) for c in clusters]
 
 
 def sample_negative_tiles(stack: RasterStack, n_positive: int,
-                          cfg: SamplerConfig, rng,
-                          split: str = "train") -> list[Sample]:
-    """Exactly negative_ratio * n_positive windows drawn uniformly, with
-    replacement, from the origins whose window holds no fire (uncertain
-    pixels allowed).
+                          cfg: SamplerConfig, rng) -> list[tuple[int, int]]:
+    """The (row, col) origins of exactly negative_ratio * n_positive
+    windows drawn uniformly, with replacement, from those whose window of
+    the stack's fire mask holds no fire (uncertain pixels allowed).
 
     One integral image of the fire pixels counts the fire under every
     origin; draws of (row, col) are then accepted iff that count is 0.
@@ -276,13 +266,13 @@ def sample_negative_tiles(stack: RasterStack, n_positive: int,
     if not fire_free.any():
         raise NoFireFreeWindowError(
             f"no fire-free {t}x{t} window on {stack.date}")
-    tiles = []
-    while len(tiles) < target:
+    origins = []
+    while len(origins) < target:
         r0 = int(rng.integers(0, len(rows)))
         c0 = int(rng.integers(0, len(cols)))
         if fire_free[r0, c0]:
-            tiles.append(_tile(stack, (r0, c0), t, split, "negative"))
-    return tiles
+            origins.append((r0, c0))
+    return origins
 
 
 # ---------------------------------------------------------------------------
@@ -332,10 +322,11 @@ def build_dataset(stacks, cfg: SamplerConfig, task: str):
     """(samples, stats): samples for every feature day t with the task's
     `frames - 1` days before it and `ahead` days after it, skipping days
     whose label day t+1 is excluded, and the train-split days' channel
-    stats. A day's tiles are placed on its label plane. A sample's features
-    view its window of one [D, C, H, W] array of the channels z-scored with
-    stats, day t or, for a sequence, days t-frames+1..t; its label views
-    the label plane. Deterministic given (stacks, cfg.rng_seed)."""
+    stats. A day's tiles are placed on its label plane, positives before
+    negatives. A sample's features view its window of one [D, C, H, W]
+    array of the channels z-scored with stats, day t or, for a sequence,
+    days t-frames+1..t; its label views the label plane, and its date is
+    t. Deterministic given (stacks, cfg.rng_seed)."""
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
     stacks = list(stacks)
@@ -359,6 +350,7 @@ def build_dataset(stacks, cfg: SamplerConfig, task: str):
     scene = np.empty((len(stacks), *stacks[0].channels.shape), np.float32)
     for k, stack in enumerate(stacks):
         scene[k] = raster.normalize(stack, stats).channels
+    t = cfg.tile_size
     samples = []
     for i in range(frames - 1, len(stacks) - ahead):
         split = split_map[dates[i + 1]]
@@ -368,17 +360,15 @@ def build_dataset(stacks, cfg: SamplerConfig, task: str):
         day = RasterStack(dates[i], stacks[i].channel_names, scene[i], label_plane,
                           stacks[i].geo)
         clusters = find_fire_clusters(label_plane, day.geo, cfg.cluster_merge_distance)
-        pos = extract_positive_tiles(day, clusters, cfg, split=split)
+        pos = extract_positive_tiles(day, clusters, cfg)
         neg_rng = np.random.default_rng(
             [cfg.rng_seed, _NEGATIVE_STREAM, (dates[i] - EPOCH).days])
-        day_samples = pos + sample_negative_tiles(day, len(pos), cfg, neg_rng, split=split)
-        if task == "sequence":
-            history = slice(i + 1 - frames, i + 1)
-            day_samples = [
-                replace(s, features=_window(scene[history], s.origin, cfg.tile_size),
-                        dates=tuple(dates[history]))
-                for s in day_samples]
-        samples.extend(day_samples)
+        neg = sample_negative_tiles(day, len(pos), cfg, neg_rng)
+        feats = scene[i] if frames == 1 else scene[i + 1 - frames:i + 1]
+        samples += [Sample(_window(feats, o, t), _window(label_plane, o, t), dates[i], o,
+                           split, kind)
+                    for kind, origins in (("positive", pos), ("negative", neg))
+                    for o in origins]
     return samples, stats
 
 
@@ -399,7 +389,6 @@ _SAMPLE_HEADER = struct.Struct("<BBBqIIBHH")
 
 # a WFDS kind, task or split code is the name's index in _KINDS, TASKS, SPLITS
 _KINDS = ("negative", "positive")
-_LABEL_BYTES = np.array([-1, 0, 1], np.int8).tobytes()
 
 
 def _decode(path, field, names, code):
@@ -430,7 +419,7 @@ def read_dataset(path):
     r = Reader(path, DATASET_MAGIC, DATASET_VERSION)
     (count,) = r.unpack(_COUNT)
     samples = []
-    task = None
+    task = dims = None
     for i in range(count):
         kind, task_code, split, days, orow, ocol, t_steps, channels, tile = \
             r.unpack(_SAMPLE_HEADER)
@@ -443,13 +432,19 @@ def read_dataset(path):
         task = sample_task
         if t_steps == 0 or (t_steps != 1 and task != "sequence"):
             raise FormatError(f"{path}: sample {i} of task {task!r} has T = {t_steps}")
+        if channels == 0 or tile == 0:
+            raise FormatError(f"{path}: sample {i} has C = {channels}, S = {tile}")
+        if dims not in (None, (t_steps, channels, tile)):
+            raise FormatError(f"{path}: sample {i} has (T, C, S) = "
+                              f"{(t_steps, channels, tile)}, earlier samples {dims}")
+        dims = (t_steps, channels, tile)
         frames = (t_steps,) if task == "sequence" else ()
         feats = r.array("<f4", frames + (channels, tile, tile))
         label = r.array(np.int8, (tile, tile))
-        if label.tobytes().translate(None, _LABEL_BYTES):
+        if not is_fire_mask(label):
             raise FormatError(f"{path}: sample {i} has a label outside {{-1, 0, 1}}")
-        dates = tuple(r.date(days - k) for k in range(t_steps - 1, -1, -1))
-        samples.append(Sample(features=feats, label=label, dates=dates,
+        r.date(days - t_steps + 1)  # the first frame's date must be in range too
+        samples.append(Sample(features=feats, label=label, date=r.date(days),
                               origin=(orow, ocol), split=split, kind=kind))
     r.done()
     return samples, task

@@ -37,19 +37,16 @@ def _wfds(rng, path):
                     origin=tuple(int(v) for v in rng.integers(0, 50, size=2)),
                     split=SPLITS[int(rng.integers(0, 3))],
                     kind=("negative", "positive")[int(rng.integers(0, 2))])
-        last = _date(rng)
-        frames = t if task == "sequence" else 1
+        date = _date(rng)
         shape = (t, c, s, s) if task == "sequence" else (c, s, s)
-        samples.append(Sample(
-            features=rng.normal(size=shape).astype(np.float32),
-            dates=tuple(last - datetime.timedelta(days=frames - 1 - k) for k in range(frames)),
-            **meta))
+        samples.append(Sample(features=rng.normal(size=shape).astype(np.float32),
+                              date=date, **meta))
     write_dataset(samples, task, path)
 
     def round_trip():
         loaded, loaded_task = read_dataset(path)
         return ((loaded_task == task or not samples) and len(loaded) == len(samples)
-                and all(a.dates == b.dates and a.origin == b.origin and a.split == b.split
+                and all(a.date == b.date and a.origin == b.origin and a.split == b.split
                         and a.kind == b.kind and np.array_equal(a.features, b.features)
                         and np.array_equal(a.label, b.label)
                         for a, b in zip(loaded, samples)))

@@ -82,7 +82,7 @@ def test_evaluate_rejects_a_nan_feature_pixel():
     model = build(ModelConfig("autoencoder", (4,), in_channels=3, tile=8), rng)
     samples = [Sample(features=rng.standard_normal((3, 8, 8)).astype(np.float32),
                       label=(np.arange(64).reshape(8, 8) % 2).astype(np.int8),
-                      dates=(datetime.date(2020, 1, 1),), origin=(0, 0), split="test",
+                      date=datetime.date(2020, 1, 1), origin=(0, 0), split="test",
                       kind="positive")
                for _ in range(6)]
     samples[2].features[1, 3, 4] = np.nan
@@ -249,7 +249,7 @@ def test_batched_maps_equal_per_tile_forward(tmp_path, arch, frames):
     model = build(ModelConfig(arch, (4, 8), in_channels=3, tile=16), rng)
     samples = [Sample(features=rng.standard_normal(frames + (3, 16, 16)).astype(np.float32),
                       label=rng.integers(-1, 2, size=(16, 16)).astype(np.int8),
-                      dates=(datetime.date(2020, 1, 1),), origin=(0, 0), split="test", kind="positive")
+                      date=datetime.date(2020, 1, 1), origin=(0, 0), split="test", kind="positive")
                for _ in range(40)]
     written = metrics.write_probability_maps(model, samples, tmp_path / "maps")
     assert len(written) == len(samples)

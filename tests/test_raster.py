@@ -282,3 +282,13 @@ def test_mask_values_validated():
     with pytest.raises(ValueError):
         RasterStack(datetime.date(2020, 1, 1), (), np.zeros((0, 2, 2), np.float32),
                     np.array([[2, 0], [0, 0]], np.int8), GeoTransform(0, 0, 1000.0))
+
+
+@pytest.mark.parametrize("mask", [np.array([[257, 0]], np.int64),
+                                  np.array([[0.7, 0.0]]),
+                                  np.array([[255, 0]], np.uint8)])
+def test_mask_values_checked_before_the_int8_cast(mask):
+    # as int8 these read 1, 0 and -1: valid codes made out of invalid values
+    with pytest.raises(ValueError, match=r"fire_mask values must be in \{-1, 0, 1\}"):
+        RasterStack(datetime.date(2020, 1, 1), (), np.zeros((0, 1, 2), np.float32),
+                    mask, GeoTransform(0, 0, 1000.0))

@@ -1,4 +1,5 @@
 import datetime
+import math
 from collections import deque
 from dataclasses import replace
 
@@ -199,19 +200,14 @@ def centered_cluster(r, c):
 def test_tile_centered_on_centroid():
     stack = stack_with_mask(np.zeros((256, 256)), n_channels=2)
     cfg = SamplerConfig(tile_size=128)
-    tiles = extract_positive_tiles(stack, [centered_cluster(128, 128)], cfg)
-    assert len(tiles) == 1
-    assert tiles[0].origin == (64, 64)
-    assert tiles[0].features.shape == (2, 128, 128)
+    assert extract_positive_tiles(stack, [centered_cluster(128, 128)], cfg) == [(64, 64)]
 
 
 def test_tile_clamped_at_edge():
     stack = stack_with_mask(np.zeros((256, 256)), n_channels=1)
     cfg = SamplerConfig(tile_size=128)
-    tiles = extract_positive_tiles(stack, [centered_cluster(100, 3)], cfg)
-    assert tiles[0].origin[1] == 0
-    tiles = extract_positive_tiles(stack, [centered_cluster(254, 254)], cfg)
-    assert tiles[0].origin == (128, 128)
+    assert extract_positive_tiles(stack, [centered_cluster(100, 3)], cfg) == [(36, 0)]
+    assert extract_positive_tiles(stack, [centered_cluster(254, 254)], cfg) == [(128, 128)]
 
 
 def test_tiles_contain_their_clusters():
@@ -225,14 +221,11 @@ def test_tiles_contain_their_clusters():
     stack = stack_with_mask(mask, n_channels=1, seed=3)
     cfg = SamplerConfig(tile_size=128)
     clusters = find_fire_clusters(mask, GEO_1KM, 10.0)
-    tiles = extract_positive_tiles(stack, clusters, cfg)
-    assert len(tiles) == len(clusters)
-    for tile, cluster in zip(tiles, clusters):
-        r0, c0 = tile.origin
+    origins = extract_positive_tiles(stack, clusters, cfg)
+    assert len(origins) == len(clusters)
+    for (r0, c0), cluster in zip(origins, clusters):
         for (r, c) in cluster.pixels:
             assert r0 <= r < r0 + 128 and c0 <= c < c0 + 128
-        # label window copied from the mask
-        np.testing.assert_array_equal(tile.label, mask[r0:r0 + 128, c0:c0 + 128])
 
 
 def test_grid_smaller_than_tile_rejected():
@@ -251,9 +244,8 @@ def test_negative_ratio_exact_and_fire_free():
     cfg = SamplerConfig(tile_size=64, negative_ratio=2.0)
     negs = sample_negative_tiles(stack, 3, cfg, np.random.default_rng(0))
     assert len(negs) == 6
-    for s in negs:
-        assert (s.label != 1).all()
-        assert s.kind == "negative"
+    for r0, c0 in negs:
+        assert (mask[r0:r0 + 64, c0:c0 + 64] != 1).all()
 
 
 def test_zero_positives_no_negatives():
@@ -277,11 +269,8 @@ def test_single_fire_free_origin_is_found():
     mask[100:132, 50:82] = 0
     stack = stack_with_mask(mask, n_channels=2)
     cfg = SamplerConfig(tile_size=32, negative_ratio=2.0)
-    negs = sample_negative_tiles(stack, 1, cfg, np.random.default_rng(0))
-    assert [s.origin for s in negs] == [(100, 50), (100, 50)]
-    for s in negs:
-        np.testing.assert_array_equal(s.label, 0)
-        np.testing.assert_array_equal(s.features, stack.channels[:, 100:132, 50:82])
+    assert sample_negative_tiles(stack, 1, cfg, np.random.default_rng(0)) == \
+        [(100, 50), (100, 50)]
 
 
 def reference_negative_origins(mask, tile, target, rng):
@@ -315,7 +304,7 @@ def test_negative_origins_match_uncapped_reference(fire):
                 sample_negative_tiles(stack, 4, cfg, np.random.default_rng(seed))
             continue
         negs = sample_negative_tiles(stack, 4, cfg, np.random.default_rng(seed))
-        assert [s.origin for s in negs] == reference_negative_origins(
+        assert negs == reference_negative_origins(
             mask, tile, 6, np.random.default_rng(seed))
         compared += 1
     assert compared >= 5
@@ -479,11 +468,8 @@ def test_sequence_sample_shape_and_dates():
     assert samples, "expected at least one sequence sample"
     for s in samples:
         assert s.features.shape == (7, 3, 32, 32)
-        assert len(s.dates) == 7
-        for a, b in zip(s.dates, s.dates[1:]):
-            assert (b - a).days == 1
-        # features end the day before the label window starts
-        assert s.date == s.dates[-1]
+        # the 7 frames end on the sample's date, and all 7 lie in the series
+        assert s.date - datetime.timedelta(days=6) >= stacks[0].date
 
 
 def test_daily_is_aggregated_over_one_day():
@@ -492,7 +478,7 @@ def test_daily_is_aggregated_over_one_day():
     one_day, _ = build_dataset(stacks, small_cfg(aggregation_window=1), "aggregated")
     assert daily and len(daily) == len(one_day)
     for a, b in zip(daily, one_day):
-        assert (a.dates, a.origin, a.split, a.kind) == (b.dates, b.origin, b.split, b.kind)
+        assert (a.date, a.origin, a.split, a.kind) == (b.date, b.origin, b.split, b.kind)
         np.testing.assert_array_equal(a.features, b.features)
         np.testing.assert_array_equal(a.label, b.label)
 
@@ -551,13 +537,44 @@ def test_build_normalizes_with_train_split_stats(task):
     assert stats.channel_names == expected.channel_names
     np.testing.assert_array_equal(stats.mean, expected.mean)
     np.testing.assert_array_equal(stats.std, expected.std)
-    by_date = {s.date: raster.normalize(s, stats).channels for s in stacks}
+
+
+@pytest.mark.parametrize("task", ["daily", "aggregated", "sequence"])
+def test_build_cuts_each_sample_at_its_origin(task):
+    """Every sample is its origin's window: features of the z-scored frames
+    ending on its date, the label of its label days; positives sit on the
+    label plane's cluster centroids, in cluster order, and negatives hold
+    no fire."""
+    stacks = scene_series(16, seed=7)
+    cfg = small_cfg()
+    samples, stats = build_dataset(stacks, cfg, task)
+    assert {s.kind for s in samples} == {"positive", "negative"}
+    ahead = 1 if task == "daily" else cfg.aggregation_window
+    by_date = {s.date: s for s in stacks}
+    scaled = {s.date: raster.normalize(s, stats).channels for s in stacks}
+    positives = {}
     for s in samples:
-        frames = np.stack([by_date[d] for d in s.dates])
+        frames = s.features.shape[0] if task == "sequence" else 1
+        days = [s.date - datetime.timedelta(days=k) for k in range(frames - 1, -1, -1)]
+        features = np.stack([scaled[d] for d in days])
         if task != "sequence":
-            frames = frames[0]
+            features = features[0]
+        label = aggregate_masks([by_date[s.date + datetime.timedelta(days=k)].fire_mask
+                                 for k in range(1, ahead + 1)])
         r0, c0 = s.origin
-        np.testing.assert_array_equal(s.features, frames[..., r0:r0 + 32, c0:c0 + 32])
+        np.testing.assert_array_equal(s.features, features[..., r0:r0 + 32, c0:c0 + 32])
+        np.testing.assert_array_equal(s.label, label[r0:r0 + 32, c0:c0 + 32])
+        if s.kind == "negative":
+            assert (s.label != 1).all()
+        else:
+            positives.setdefault(s.date, (label, []))[1].append(s.origin)
+    assert positives
+    for label, origins in positives.values():
+        clusters = find_fire_clusters(label, GEO_1KM, cfg.cluster_merge_distance)
+        centres = [(math.floor(r + 0.5), math.floor(c + 0.5))
+                   for r, c in (cl.centroid() for cl in clusters)]
+        assert origins == [(min(max(r - 16, 0), 160 - 32), min(max(c - 16, 0), 160 - 32))
+                           for r, c in centres]
 
 
 def test_build_rejects_series_without_train_day():
@@ -621,7 +638,7 @@ def test_sequence_round_trip(tmp_path):
     loaded, task = read_dataset(p)
     assert task == "sequence"
     for a, b in zip(loaded, samples):
-        assert a.dates == b.dates
+        assert a.date == b.date
         np.testing.assert_array_equal(a.features, b.features)
 
 
@@ -657,7 +674,7 @@ def test_wfds_rejects_garbage(tmp_path):
 
     # the kind, task and split bytes of the first sample header, out of range
     tile = Sample(features=np.zeros((2, 4, 4), np.float32),
-                  label=np.zeros((4, 4), np.int8), dates=(D0,), origin=(0, 0),
+                  label=np.zeros((4, 4), np.int8), date=D0, origin=(0, 0),
                   split="val", kind="positive")
     write_dataset([tile], "daily", p)
     good = p.read_bytes()
@@ -672,7 +689,7 @@ def test_wfds_rejects_garbage(tmp_path):
 
 def _tile(kind="positive", c=2, s=4):
     return Sample(features=np.zeros((c, s, s), np.float32),
-                  label=np.zeros((s, s), np.int8), dates=(D0,), origin=(0, 0),
+                  label=np.zeros((s, s), np.int8), date=D0, origin=(0, 0),
                   split="train", kind=kind)
 
 
@@ -696,13 +713,34 @@ def test_wfds_rejects_bad_labels_and_time_steps(tmp_path):
     bad_label.label[2, 3] = 7
     two_step_daily = Sample(
         features=np.zeros((2, 2, 4, 4), np.float32), label=np.zeros((4, 4), np.int8),
-        dates=(D0 - datetime.timedelta(days=1), D0), origin=(0, 0),
+        date=D0, origin=(0, 0),
         split="train", kind="positive")
     no_step_sequence = replace(two_step_daily, features=np.zeros((0, 2, 4, 4), np.float32))
+    # the header holds the last frame's date; the first frame's must exist too
+    before_year_one = replace(two_step_daily, date=datetime.date(1, 1, 1))
     for samples, task, message in (
             ([bad_label], "daily", r"sample 0 has a label outside \{-1, 0, 1\}"),
             ([_tile(), two_step_daily], "aggregated", "sample 1 of task 'aggregated' has T = 2"),
-            ([no_step_sequence], "sequence", "sample 0 of task 'sequence' has T = 0")):
+            ([no_step_sequence], "sequence", "sample 0 of task 'sequence' has T = 0"),
+            ([before_year_one], "sequence", "day -719163 is out of range")):
         write_dataset(samples, task, p)
         with pytest.raises(FormatError, match=message):
             read_dataset(p)
+
+
+def test_wfds_rejects_samples_that_disagree_on_their_shape(tmp_path):
+    p = tmp_path / "shape.wfds"
+    seq = Sample(features=np.zeros((2, 2, 4, 4), np.float32), label=np.zeros((4, 4), np.int8),
+                 date=D0, origin=(0, 0), split="train", kind="positive")
+    for samples, task, message in (
+            ([_tile(), _tile(c=3)], "daily", r"sample 1 has \(T, C, S\) = \(1, 3, 4\), "
+                                             r"earlier samples \(1, 2, 4\)"),
+            ([_tile(), _tile(s=5)], "daily", r"sample 1 has \(T, C, S\) = \(1, 2, 5\)"),
+            ([seq, replace(seq, features=np.zeros((3, 2, 4, 4), np.float32))], "sequence",
+             r"sample 1 has \(T, C, S\) = \(3, 2, 4\), earlier samples \(2, 2, 4\)"),
+            ([_tile(c=0)], "daily", "sample 0 has C = 0, S = 4"),
+            ([_tile(s=0)], "aggregated", "sample 0 has C = 2, S = 0")):
+        write_dataset(samples, task, p)
+        with pytest.raises(FormatError, match=message):
+            read_dataset(p)
+
