@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, nn, raster, sampler, synth, training
+from .binio import FormatError
 from .config import FLAG_KEYS, ConfigError, RunConfig, load_config
 from .models import ARCH_SPECS, CLI_NAMES, ModelConfig, build
 from .sampler import SPLITS, TASKS
@@ -81,10 +82,19 @@ def _model_from_checkpoint(path):
         raise FileNotFoundError(f"checkpoint not found: {path}")
     if not sidecar.exists():
         raise FileNotFoundError(f"checkpoint sidecar not found: {sidecar}")
-    meta = json.loads(sidecar.read_text())
-    cfg = ModelConfig(**{f.name: meta[f.name] for f in dataclasses.fields(ModelConfig)})
+    try:
+        meta = json.loads(sidecar.read_text())
+        cfg = ModelConfig(**{f.name: meta[f.name] for f in dataclasses.fields(ModelConfig)})
+    except KeyError as e:
+        raise FormatError(f"{sidecar}: missing field {e}") from e
+    except (TypeError, ValueError) as e:  # not JSON, or a value ModelConfig rejects
+        raise FormatError(f"{sidecar}: {e}") from e
     model = build(cfg, np.random.default_rng(0))
-    model.load_params(nn.load_checkpoint(path))
+    params = nn.load_checkpoint(path)
+    try:
+        model.load_params(params)
+    except ValueError as e:
+        raise FormatError(f"{path} does not fit {sidecar}: {e}") from e
     return model
 
 
@@ -133,7 +143,8 @@ def cmd_build_dataset(cfg: RunConfig, out: Path) -> int:
 
 def _model_config(cfg: RunConfig, train_data) -> ModelConfig:
     first = train_data[0].features
-    mcfg = cfg.model_config(tile=int(first.shape[-1]), in_channels=int(first.shape[-3]))
+    mcfg = dataclasses.replace(cfg.model, tile=int(first.shape[-1]),
+                               in_channels=int(first.shape[-3]))
     _check_task_arch(cfg.task, mcfg.arch)
     return mcfg
 

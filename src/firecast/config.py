@@ -26,10 +26,14 @@ as WF_<SECTION>_<KEY> (e.g. WF_TRAIN_EPOCHS=5) < CLI flags (--seed N sets
 all four seeds) < sweep point. All layers parse through one schema, and
 an error names its source. Unknown sections or keys are rejected. [model]
 arch takes an architecture's name or its CLI spelling, as listed in
-models.ARCH_SPECS. Float settings must be finite. [sweep] takes model.*
-and train.* keys, the only sections train reads, but no list-valued key
-(model.filter_scheme), since its values are split on commas; every point
-is checked at load, before any trains.
+models.ARCH_SPECS. Float settings must be finite. Each section becomes its
+record at load ([sampler] a SamplerConfig, [model] a ModelConfig, ...),
+whose checks reject a bad value there, so a bad [model] size exits 2
+before any data is read; [model] init_seed alone stays in RunConfig.run.
+train takes the model's tile and channel count from the data. [sweep]
+takes model.* and train.* keys, the only sections train reads, but no
+list-valued key (model.filter_scheme), since its values are split on
+commas; every point is checked at load, before any trains.
 """
 
 from __future__ import annotations
@@ -148,6 +152,7 @@ _SCHEMA = {
     },
 }
 
+# every key RunConfig.run holds; each other setting goes to its section's record
 _RUN_DEFAULTS = {
     "task": "daily",
     "out": "out",
@@ -156,10 +161,7 @@ _RUN_DEFAULTS = {
     "checkpoint": None,
     "threshold": 0.5,
     "max_maps": 16,
-    "arch": "autoencoder",
-    "filter_scheme": (64, 128, 256, 256),
-    "lstm_hidden": None,
-    "init_seed": 0,
+    "init_seed": 0,  # [model], but not part of the ModelConfig a checkpoint records
 }
 
 
@@ -167,6 +169,7 @@ _RUN_DEFAULTS = {
 class RunConfig:
     run: dict = field(default_factory=dict)
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
+    model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     synth: SynthConfig = field(default_factory=SynthConfig)
     sweep: list = field(default_factory=list)  # (raw point, RunConfig) per grid point
@@ -174,15 +177,6 @@ class RunConfig:
     @property
     def task(self):
         return self.run["task"]
-
-    @property
-    def arch(self):
-        return self.run["arch"]
-
-    def model_config(self, tile, in_channels=10) -> ModelConfig:
-        return ModelConfig(arch=self.arch, filter_scheme=self.run["filter_scheme"],
-                           in_channels=in_channels, tile=tile,
-                           lstm_hidden=self.run["lstm_hidden"])
 
 
 def _read_file(path):
@@ -249,14 +243,15 @@ def _parsed(raw):
 def _assemble(values, where="") -> RunConfig:
     """The RunConfig for parsed settings over the defaults."""
     run = dict(_RUN_DEFAULTS)
-    kwargs = {"sampler": {}, "train": {}, "synth": {}}
+    kwargs = {"sampler": {}, "model": {}, "train": {}, "synth": {}}
     for (section, key), value in values.items():
-        if section in kwargs:
-            kwargs[section][key] = value
-        else:
+        if key in run:
             run[key] = value
+        else:
+            kwargs[section][key] = value
     try:
         return RunConfig(run=run, sampler=SamplerConfig(**kwargs["sampler"]),
+                         model=ModelConfig(**kwargs["model"]),
                          train=TrainConfig(**kwargs["train"]),
                          synth=SynthConfig(**kwargs["synth"]))
     except ValueError as e:

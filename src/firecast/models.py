@@ -88,10 +88,10 @@ def resolve_arch(spelling: str) -> str:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    arch: str
+    arch: str = "autoencoder"
     filter_scheme: tuple[int, ...] = (64, 128, 256, 256)
     in_channels: int = 10
-    tile: int = 128
+    tile: int | None = None  # the data's tile side, unknown until it is read
     lstm_hidden: int | None = None  # defaults to the bottleneck channel count
 
     def __post_init__(self):
@@ -100,7 +100,12 @@ class ModelConfig:
             raise ValueError(f"unknown arch {self.arch!r}")
         if not self.filter_scheme:
             raise ValueError("filter_scheme must be nonempty")
-        if self.tile % (1 << len(self.filter_scheme)):
+        smallest = {"filter_scheme": min(self.filter_scheme), "in_channels": self.in_channels,
+                    "tile": self.tile, "lstm_hidden": self.lstm_hidden}
+        for name, value in smallest.items():
+            if value is not None and value <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.tile is not None and self.tile % (1 << len(self.filter_scheme)):
             raise ValueError(
                 f"tile {self.tile} not divisible by 2^{len(self.filter_scheme)} levels")
 

@@ -20,7 +20,13 @@ origins, one per fire cluster (single-linkage chaining with a distance
 threshold) and negatives drawn uniformly from the same day's fire-free
 windows at a fixed ratio; build_dataset cuts every sample from them.
 Whole 7-day blocks are assigned to train/val/test with the last day of
-each block excluded so no two splits hold adjacent label days.
+each block excluded, so for the daily task no two splits hold adjacent
+label days. The 7-day label windows of the aggregated and sequence tasks
+are not kept apart: a window that starts at block offset 1 or later runs
+into the next block, which may hold another split (on criterion 6's data,
+5 of 12 to 20 of 24 test label days also fall in a train label window).
+The fix changes which days are sampled, which perfbench/checks.py pins, so
+it waits for a change to the benchmark (ROADMAP item 2).
 
 WFDS dataset files are little-endian, with no padding:
 

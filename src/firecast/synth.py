@@ -4,10 +4,13 @@ runs have a ground-truth score to compare against.
 
 Channels are unit-variance box-smoothed noise fields. Elevation is frozen
 for the whole run; the other nine are AR(1) day-to-day with persistence
-DAILY_RHO, which keeps variance at one while giving sequence models a
-temporal signal. The fire mask is an independent Bernoulli draw per pixel
-with probability sigmoid(sum_c w_c * channel_c + bias), then a fixed
-fraction of pixels is overwritten with the uncertain label.
+DAILY_RHO, which keeps variance at one and makes today's channels predict
+tomorrow's. The fire mask is an independent Bernoulli draw per pixel with
+probability sigmoid(sum_c w_c * channel_c + bias), then a fixed fraction
+of pixels is overwritten with the uncertain label. So fire on a day
+depends on that day's channels only, and given day t's channels the
+earlier frames carry no information about days t+1..t+w: a sequence model
+has nothing to gain over the last frame (ROADMAP item 2).
 """
 
 from __future__ import annotations

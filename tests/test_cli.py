@@ -1,3 +1,5 @@
+import dataclasses
+import datetime
 import json
 import os
 import re
@@ -6,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from firecast import cli, raster, sampler
+from firecast import cli, nn, raster, sampler
 from firecast.cli import (
     EXIT_CONFIG,
     EXIT_ERROR,
@@ -18,7 +20,8 @@ from firecast.cli import (
     main,
 )
 from firecast.config import ConfigError, load_config
-from firecast.sampler import write_dataset
+from firecast.models import ModelConfig, build
+from firecast.sampler import Sample, write_dataset
 
 from test_sampler import scene_series
 
@@ -64,7 +67,7 @@ def test_load_config_round_trip(tmp_path):
     cfg = load_config(path)
     assert cfg.task == "daily"
     assert cfg.sampler.tile_size == 16
-    assert cfg.run["filter_scheme"] == (4, 8)
+    assert cfg.model.filter_scheme == (4, 8)
     assert cfg.train.epochs == 2
     assert cfg.synth.grid == (96, 96)
 
@@ -101,6 +104,10 @@ BAD_CONFIGS = [
     "[sampler]\nsplit_ratio = 6, -inf, 1\n",
     "[run]\nmax_maps = -1\n",
     "[sweep]\nmodel.filter_scheme = 8, 16\n",
+    # model sizes that are not positive, or no levels at all
+    "[model]\nlstm_hidden = 0\n",
+    "[model]\nfilter_scheme = 0, 8\n",
+    "[model]\nfilter_scheme = ,\n",
 ]
 
 
@@ -143,18 +150,18 @@ def test_arch_spellings_resolve(tmp_path, monkeypatch, spelling, arch):
     named = tmp_path / "named.cfg"
     named.write_text(SMALL_CONFIG.format(out=tmp_path / "run")
                      .replace("arch = ae\n", f"arch = {spelling}\n"))
-    assert load_config(named).arch == arch
+    assert load_config(named).model.arch == arch
 
     base = tmp_path / "other.cfg"
     base.write_text(SMALL_CONFIG.format(out=tmp_path / "run")
                     .replace("arch = ae\n", f"arch = {other}\n"))
-    assert load_config(base).arch == other
-    assert load_config(base, env={"WF_MODEL_ARCH": spelling}).arch == arch
+    assert load_config(base).model.arch == other
+    assert load_config(base, env={"WF_MODEL_ARCH": spelling}).model.arch == arch
 
     if spelling in MODEL_FLAG_SPELLINGS:
         seen = []
         monkeypatch.setitem(cli._VERBS, "train",
-                            lambda cfg, out: seen.append(cfg.arch) or EXIT_OK)
+                            lambda cfg, out: seen.append(cfg.model.arch) or EXIT_OK)
         assert run_cli("train", "--config", base, "--model", spelling) == EXIT_OK
         assert seen == [arch]
 
@@ -321,6 +328,38 @@ def test_empty_test_split_rejected(tmp_path, capsys, verb):
     assert capsys.readouterr().err == f"error: dataset {empty} holds no samples\n"
 
 
+def test_broken_checkpoint_names_its_file(tmp_path, capsys):
+    """A sidecar that is not JSON, lacks a field or holds a value
+    ModelConfig rejects, and parameters that do not fit the sidecar's
+    model, each exit 1 with an error naming the file at fault."""
+    path, out = write_config(tmp_path)
+    out.mkdir()
+    rng = np.random.default_rng(0)
+    label = np.zeros((16, 16), np.int8)
+    label[:8] = 1
+    write_dataset([Sample(rng.standard_normal((10, 16, 16)).astype(np.float32), label,
+                          datetime.date(2020, 1, 1), (0, 0), "test", "positive")],
+                  "daily", out / "daily_test.wfds")
+    mcfg = ModelConfig("autoencoder", (4, 8), tile=16)
+    ckpt = out / "checkpoint.wfck"
+    nn.save_checkpoint({name: t.data for name, t in build(mcfg, rng).params.items()}, ckpt)
+    sidecar = ckpt.with_suffix(".json")
+    good = dataclasses.asdict(mcfg) | {"task": "daily"}
+    sidecar.write_text(json.dumps(good))
+    assert run_cli("eval", "--config", path) == EXIT_OK
+    no_tile = {k: v for k, v in good.items() if k != "tile"}
+    for text, named in [("{not json", [str(sidecar)]),
+                        (json.dumps(no_tile), [str(sidecar), "'tile'"]),
+                        (json.dumps(good | {"lstm_hidden": 0}), [str(sidecar), "lstm_hidden"]),
+                        (json.dumps(good | {"tile": 10}), [str(sidecar), "tile 10"]),
+                        (json.dumps(good | {"filter_scheme": [4]}), [str(ckpt)])]:
+        sidecar.write_text(text)
+        capsys.readouterr()
+        assert run_cli("eval", "--config", path) == EXIT_ERROR, text
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and all(n in err for n in named), err
+
+
 def test_sweep_writes_one_row_per_combination(tmp_path):
     text = SMALL_CONFIG + "\n[sweep]\ntrain.positive_weight = 1, 3\n"
     path, out = write_config(tmp_path, text=text)
@@ -351,6 +390,7 @@ def test_bad_sweep_rejected_before_training(tmp_path, capsys):
                         ("sampler.tile_size = 16, 32", EXIT_CONFIG),
                         ("run.task = daily, sequence", EXIT_CONFIG),
                         ("model.filter_scheme = 8, 16", EXIT_CONFIG),
+                        ("model.lstm_hidden = 4, -1", EXIT_CONFIG),
                         ("model.arch = unet, ae-lstm", EXIT_MISMATCH)]:
         write_config(tmp_path, text=SMALL_CONFIG + f"\n[sweep]\n{sweep}\n")
         capsys.readouterr()

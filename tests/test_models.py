@@ -21,6 +21,11 @@ def test_config_rejects_bad_tile():
         ModelConfig("autoencoder", ())
     with pytest.raises(ValueError):
         ModelConfig("resnet", (8,))
+    # sizes that are not positive
+    for kwargs in ({"lstm_hidden": 0}, {"lstm_hidden": -1}, {"filter_scheme": (0, 8)},
+                   {"in_channels": 0}):
+        with pytest.raises(ValueError, match=f"^{next(iter(kwargs))} must be positive"):
+            ModelConfig("ae_lstm", **({"filter_scheme": (4, 8)} | kwargs))
 
 
 # --- residual block -----------------------------------------------------------
