@@ -45,11 +45,7 @@ def _check_task_arch(task, arch):
 
 
 def _scenes_dir(cfg, out):
-    return Path(cfg.run["stacks"]) if cfg.run["stacks"] else out / "scenes"
-
-
-def _data_dir(cfg, out):
-    return Path(cfg.run["data"]) if cfg.run["data"] else out
+    return Path(cfg.run.stacks) if cfg.run.stacks else out / "scenes"
 
 
 def _load_stacks(scenes_dir):
@@ -63,16 +59,22 @@ def _dataset_path(data_dir, task, split):
     return Path(data_dir) / f"{task}_{split}.wfds"
 
 
-def _read_split(data_dir, task, split):
-    path = _dataset_path(data_dir, task, split)
-    if not path.exists():
-        raise FileNotFoundError(f"dataset not found: {path}")
-    samples, file_task = sampler.read_dataset(path)
-    if not samples:
-        raise ValueError(f"dataset {path} holds no samples")
-    if file_task != task:
-        raise TaskArchMismatch(f"{path} holds task {file_task!r}, expected {task!r}")
-    return samples
+def _read_splits(cfg: RunConfig, out: Path, *splits):
+    """The task's samples for each split, from [run] data, else out."""
+    task = cfg.run.task
+    data_dir = Path(cfg.run.data) if cfg.run.data else out
+    datasets = []
+    for split in splits:
+        path = _dataset_path(data_dir, task, split)
+        if not path.exists():
+            raise FileNotFoundError(f"dataset not found: {path}")
+        samples, file_task = sampler.read_dataset(path)
+        if not samples:
+            raise ValueError(f"dataset {path} holds no samples")
+        if file_task != task:
+            raise TaskArchMismatch(f"{path} holds task {file_task!r}, expected {task!r}")
+        datasets.append(samples)
+    return datasets
 
 
 def _model_from_checkpoint(path):
@@ -100,10 +102,10 @@ def _model_from_checkpoint(path):
 
 def _load_test(cfg: RunConfig, out: Path):
     """The test split and the checkpoint's model, checked against the task."""
-    test_data = _read_split(_data_dir(cfg, out), cfg.task, "test")
-    ckpt = Path(cfg.run["checkpoint"]) if cfg.run["checkpoint"] else out / "checkpoint.wfck"
+    [test_data] = _read_splits(cfg, out, "test")
+    ckpt = Path(cfg.run.checkpoint) if cfg.run.checkpoint else out / "checkpoint.wfck"
     model = _model_from_checkpoint(ckpt)
-    _check_task_arch(cfg.task, model.config.arch)
+    _check_task_arch(cfg.run.task, model.config.arch)
     return test_data, model
 
 
@@ -120,14 +122,14 @@ def cmd_synth(cfg: RunConfig, out: Path) -> int:
 
 def cmd_build_dataset(cfg: RunConfig, out: Path) -> int:
     stacks = _load_stacks(_scenes_dir(cfg, out))
-    samples, stats = sampler.build_dataset(stacks, cfg.sampler, cfg.task)
+    samples, stats = sampler.build_dataset(stacks, cfg.sampler, cfg.run.task)
     del stacks  # the samples view build_dataset's own arrays, not these
     subsets = sampler.split_subsets(samples)
     out.mkdir(parents=True, exist_ok=True)
     counts = {}
     for split in SPLITS:
-        path = _dataset_path(out, cfg.task, split)
-        sampler.write_dataset(subsets[split], cfg.task, path)
+        path = _dataset_path(out, cfg.run.task, split)
+        sampler.write_dataset(subsets[split], cfg.run.task, path)
         counts[split] = len(subsets[split])
     stats_payload = {
         "channels": list(stats.channel_names),
@@ -136,7 +138,7 @@ def cmd_build_dataset(cfg: RunConfig, out: Path) -> int:
     }
     (out / "stats.json").write_text(json.dumps(stats_payload, sort_keys=True,
                                                indent=1) + "\n")
-    print(f"build-dataset[{cfg.task}]: " +
+    print(f"build-dataset[{cfg.run.task}]: " +
           ", ".join(f"{s}={counts[s]}" for s in SPLITS))
     return EXIT_OK
 
@@ -145,30 +147,28 @@ def _model_config(cfg: RunConfig, train_data) -> ModelConfig:
     first = train_data[0].features
     mcfg = dataclasses.replace(cfg.model, tile=int(first.shape[-1]),
                                in_channels=int(first.shape[-3]))
-    _check_task_arch(cfg.task, mcfg.arch)
+    _check_task_arch(cfg.run.task, mcfg.arch)
     return mcfg
 
 
 def _train(cfg: RunConfig, mcfg: ModelConfig, train_data, val_data):
-    model = build(mcfg, np.random.default_rng([cfg.run["init_seed"], _INIT_STREAM]))
+    model = build(mcfg, np.random.default_rng([cfg.run.init_seed, _INIT_STREAM]))
     return training.train(model, train_data, val_data, cfg.train)
 
 
 def cmd_train(cfg: RunConfig, out: Path) -> int:
-    data_dir = _data_dir(cfg, out)
-    train_data = _read_split(data_dir, cfg.task, "train")
-    val_data = _read_split(data_dir, cfg.task, "val")
+    train_data, val_data = _read_splits(cfg, out, "train", "val")
     mcfg = _model_config(cfg, train_data)
     report = _train(cfg, mcfg, train_data, val_data)
 
     out.mkdir(parents=True, exist_ok=True)
     ckpt = out / "checkpoint.wfck"
     nn.save_checkpoint(report.best_params, ckpt)
-    sidecar = dataclasses.asdict(mcfg) | {"task": cfg.task}
+    sidecar = dataclasses.asdict(mcfg) | {"task": cfg.run.task}
     ckpt.with_suffix(".json").write_text(
         json.dumps(sidecar, sort_keys=True, indent=1) + "\n")
     report.write_csv(out / "report.csv")
-    print(f"train[{cfg.task}/{mcfg.arch}]: best val AUC "
+    print(f"train[{cfg.run.task}/{mcfg.arch}]: best val AUC "
           f"{report.best_val_auc:.4f} at epoch {report.best_epoch}; "
           f"checkpoint -> {ckpt}")
     return EXIT_OK
@@ -176,10 +176,10 @@ def cmd_train(cfg: RunConfig, out: Path) -> int:
 
 def cmd_eval(cfg: RunConfig, out: Path) -> int:
     test_data, model = _load_test(cfg, out)
-    result = metrics.evaluate(model, test_data, threshold=cfg.run["threshold"])
+    result = metrics.evaluate(model, test_data, threshold=cfg.run.threshold)
     out.mkdir(parents=True, exist_ok=True)
     metrics.write_eval_csv(result, out / "metrics.csv")
-    print(f"eval[{cfg.task}]: auc={result.auc:.4f} precision={result.precision:.4f} "
+    print(f"eval[{cfg.run.task}]: auc={result.auc:.4f} precision={result.precision:.4f} "
           f"recall={result.recall:.4f} iou={result.iou:.4f} "
           f"mean_iou={result.mean_iou:.4f} n_valid={result.n_valid}")
     return EXIT_OK
@@ -188,18 +188,15 @@ def cmd_eval(cfg: RunConfig, out: Path) -> int:
 def cmd_predict(cfg: RunConfig, out: Path) -> int:
     test_data, model = _load_test(cfg, out)
     maps_dir = out / "maps"
-    written = metrics.write_probability_maps(
-        model, test_data[:cfg.run["max_maps"]], maps_dir)
-    print(f"predict[{cfg.task}]: wrote {len(written)} map pairs to {maps_dir}")
+    written = metrics.write_probability_maps(model, test_data[:cfg.run.max_maps], maps_dir)
+    print(f"predict[{cfg.run.task}]: wrote {len(written)} map pairs to {maps_dir}")
     return EXIT_OK
 
 
 def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     if not cfg.sweep:
         raise ConfigError("sweep verb needs a [sweep] section with value lists")
-    data_dir = _data_dir(cfg, out)
-    train_data = _read_split(data_dir, cfg.task, "train")
-    val_data = _read_split(data_dir, cfg.task, "val")
+    train_data, val_data = _read_splits(cfg, out, "train", "val")
 
     # every point's model is checked against the data before any trains
     mcfgs = [_model_config(point_cfg, train_data) for _, point_cfg in cfg.sweep]
@@ -252,7 +249,7 @@ def main(argv=None) -> int:
              if (value := getattr(args, flag[2:])) is not None}
     try:
         cfg = load_config(args.config, flags=flags)
-        out = Path(cfg.run["out"])
+        out = Path(cfg.run.out)
         return _VERBS[args.verb](cfg, out)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -23,17 +23,18 @@ Example:
 
 Each setting comes from the last layer that gives it: file < environment
 as WF_<SECTION>_<KEY> (e.g. WF_TRAIN_EPOCHS=5) < CLI flags (--seed N sets
-all four seeds) < sweep point. All layers parse through one schema, and
-an error names its source. Unknown sections or keys are rejected. [model]
-arch takes an architecture's name or its CLI spelling, as listed in
-models.ARCH_SPECS. Float settings must be finite. Each section becomes its
-record at load ([sampler] a SamplerConfig, [model] a ModelConfig, ...),
-whose checks reject a bad value there, so a bad [model] size exits 2
-before any data is read; [model] init_seed alone stays in RunConfig.run.
-train takes the model's tile and channel count from the data. [sweep]
-takes model.* and train.* keys, the only sections train reads, but no
-list-valued key (model.filter_scheme), since its values are split on
-commas; every point is checked at load, before any trains.
+all four seeds) < sweep point. Unknown sections or keys are rejected.
+[model] arch takes an architecture's name or its CLI spelling, as listed
+in models.ARCH_SPECS. Float settings must be finite. Every section, [run]
+included, becomes its record at load ([run] a RunSettings, [sampler] a
+SamplerConfig, [model] a ModelConfig, ...). Each value is checked against
+its record as it is parsed, so every rejected value names its source (a
+file key, environment variable, flag or sweep key), and a bad [model] size
+exits 2 before any data is read. train takes the model's tile and channel
+count from the data. [sweep] takes model.* and train.* keys, the only
+sections train reads, but no list-valued key (model.filter_scheme), since
+its values are split on commas; every point is checked at load, before
+any trains.
 """
 
 from __future__ import annotations
@@ -73,13 +74,6 @@ def _parse_str(raw):
     return raw.strip()
 
 
-def _parse_task(raw):
-    value = raw.strip()
-    if value not in TASKS:
-        raise ValueError(f"task must be one of {TASKS}, got {value!r}")
-    return value
-
-
 def _parse_arch(raw):
     return resolve_arch(raw.strip().lower())
 
@@ -88,13 +82,6 @@ def _parse_float(raw):
     value = float(raw)
     if not math.isfinite(value):
         raise ValueError(f"must be finite, got {raw.strip()!r}")
-    return value
-
-
-def _parse_count(raw):
-    value = int(raw)
-    if value < 0:
-        raise ValueError(f"must be >= 0, got {value}")
     return value
 
 
@@ -112,13 +99,13 @@ _LIST_PARSERS = (_parse_ints, _parse_floats)
 
 _SCHEMA = {
     "run": {
-        "task": _parse_task,
+        "task": _parse_str,
         "out": _parse_str,
         "stacks": _parse_str,
         "data": _parse_str,
         "checkpoint": _parse_str,
         "threshold": _parse_float,
-        "max_maps": _parse_count,
+        "max_maps": int,
     },
     "sampler": {
         "tile_size": int,
@@ -152,31 +139,43 @@ _SCHEMA = {
     },
 }
 
-# every key RunConfig.run holds; each other setting goes to its section's record
-_RUN_DEFAULTS = {
-    "task": "daily",
-    "out": "out",
-    "stacks": None,
-    "data": None,
-    "checkpoint": None,
-    "threshold": 0.5,
-    "max_maps": 16,
-    "init_seed": 0,  # [model], but not part of the ModelConfig a checkpoint records
-}
+@dataclass(frozen=True)
+class RunSettings:
+    """The [run] section: the task, where each verb reads and writes, and
+    the eval and predict knobs; plus [model] init_seed, which the
+    ModelConfig a checkpoint records does not hold."""
+
+    task: str = "daily"
+    out: str = "out"
+    stacks: str | None = None  # scene stacks; default out/scenes
+    data: str | None = None  # datasets; default out
+    checkpoint: str | None = None  # default out/checkpoint.wfck
+    threshold: float = 0.5
+    max_maps: int = 16
+    init_seed: int = 0
+
+    def __post_init__(self):
+        if self.task not in TASKS:
+            raise ValueError(f"task must be one of {TASKS}, got {self.task!r}")
+        if self.max_maps < 0:
+            raise ValueError(f"max_maps must be >= 0, got {self.max_maps}")
 
 
 @dataclass
 class RunConfig:
-    run: dict = field(default_factory=dict)
+    run: RunSettings = field(default_factory=RunSettings)
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     synth: SynthConfig = field(default_factory=SynthConfig)
     sweep: list = field(default_factory=list)  # (raw point, RunConfig) per grid point
 
-    @property
-    def task(self):
-        return self.run["task"]
+
+# the record each section's settings set, by RunConfig field
+_RECORDS = {"run": RunSettings, "sampler": SamplerConfig, "model": ModelConfig,
+            "train": TrainConfig, "synth": SynthConfig}
+# the one setting whose record is not its section's
+_ROUTED = {("model", "init_seed"): "run"}
 
 
 def _read_file(path):
@@ -230,32 +229,28 @@ def _layers(path, env, flags):
 
 
 def _parsed(raw):
-    """Each setting's value, parsed from its raw text through _SCHEMA."""
+    """Each setting's value, parsed from its raw text through _SCHEMA and
+    checked alone against its record, keyed by (RunConfig field, key)."""
     values = {}
     for (section, key), (label, text) in raw.items():
+        home = _ROUTED.get((section, key), section)
         try:
-            values[(section, key)] = _SCHEMA[section][key](text)
+            value = _SCHEMA[section][key](text)
+            _RECORDS[home](**{key: value})
         except ValueError as e:
             raise ConfigError(f"bad value for {label}: {e}") from e
+        values[(home, key)] = value
     return values
 
 
-def _assemble(values, where="") -> RunConfig:
-    """The RunConfig for parsed settings over the defaults."""
-    run = dict(_RUN_DEFAULTS)
-    kwargs = {"sampler": {}, "model": {}, "train": {}, "synth": {}}
-    for (section, key), value in values.items():
-        if key in run:
-            run[key] = value
-        else:
-            kwargs[section][key] = value
-    try:
-        return RunConfig(run=run, sampler=SamplerConfig(**kwargs["sampler"]),
-                         model=ModelConfig(**kwargs["model"]),
-                         train=TrainConfig(**kwargs["train"]),
-                         synth=SynthConfig(**kwargs["synth"]))
-    except ValueError as e:
-        raise ConfigError(f"{where}{e}") from e
+def _assemble(values) -> RunConfig:
+    """The RunConfig for checked settings over the defaults. Every record
+    check a setting can reach reads that one field (ModelConfig's tile
+    check needs tile, which only train sets), so none fails here."""
+    kwargs = {home: {} for home in _RECORDS}
+    for (home, key), value in values.items():
+        kwargs[home][key] = value
+    return RunConfig(**{home: record(**kwargs[home]) for home, record in _RECORDS.items()})
 
 
 def load_config(path=None, env=None, flags=None) -> RunConfig:
@@ -267,6 +262,5 @@ def load_config(path=None, env=None, flags=None) -> RunConfig:
     cfg = _assemble(values)
     for combo in itertools.product(*sweep) if sweep else ():
         point = {".".join(setting): text for setting, (_, text) in combo}
-        cfg.sweep.append((point, _assemble(values | _parsed(dict(combo)),
-                                           f"sweep point {point}: ")))
+        cfg.sweep.append((point, _assemble(values | _parsed(dict(combo)))))
     return cfg

@@ -175,14 +175,22 @@ def write_pgm(plane, path) -> None:
 
 def write_probability_maps(model, samples, out_dir) -> list:
     """Per-tile probability + label PGM pairs (segmentation figures
-    analogue), from predict_pixels' batched forward passes."""
+    analogue), from predict_pixels' batched forward passes. A tile with a
+    non-finite probability raises ValueError naming it before any map is
+    written."""
     out_dir.mkdir(parents=True, exist_ok=True)
     if not samples:
         return []
     probs, labels = predict_pixels(model, samples)
     shape = (len(samples),) + samples[0].label.shape
+    probs = probs.reshape(shape)
+    bad = ~np.isfinite(probs).all(axis=(1, 2))
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"tile {i} (date {samples[i].date}, origin {samples[i].origin}) "
+                         "has non-finite probabilities")
     written = []
-    for i, (prob, label) in enumerate(zip(probs.reshape(shape), labels.reshape(shape))):
+    for i, (prob, label) in enumerate(zip(probs, labels.reshape(shape))):
         prob_path = out_dir / f"prob_{i:04d}.pgm"
         label_path = out_dir / f"label_{i:04d}.pgm"
         write_pgm(prob, prob_path)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from firecast import cli, nn, raster, sampler
+from firecast import cli, config, nn, raster, sampler
 from firecast.cli import (
     EXIT_CONFIG,
     EXIT_ERROR,
@@ -24,6 +24,8 @@ from firecast.models import ModelConfig, build
 from firecast.sampler import Sample, write_dataset
 
 from test_sampler import scene_series
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 SMALL_CONFIG = """
@@ -65,7 +67,7 @@ def write_config(tmp_path, text=None, out=None):
 def test_load_config_round_trip(tmp_path):
     path, out = write_config(tmp_path)
     cfg = load_config(path)
-    assert cfg.task == "daily"
+    assert cfg.run.task == "daily"
     assert cfg.sampler.tile_size == 16
     assert cfg.model.filter_scheme == (4, 8)
     assert cfg.train.epochs == 2
@@ -192,7 +194,7 @@ def test_seed_override_propagates(tmp_path, monkeypatch):
     assert cfg.sampler.rng_seed == 99
     assert cfg.train.rng_seed == 99
     assert cfg.synth.rng_seed == 99
-    assert cfg.run["init_seed"] == 99
+    assert cfg.run.init_seed == 99
 
 
 def test_layers_override_in_order(tmp_path):
@@ -200,11 +202,11 @@ def test_layers_override_in_order(tmp_path):
     path, _ = write_config(tmp_path, text=SMALL_CONFIG + "\n[sweep]\ntrain.epochs = 4\n")
     env = {"WF_TRAIN_EPOCHS": "3", "WF_TRAIN_RNG_SEED": "7", "WF_RUN_THRESHOLD": "0.2"}
     cfg = load_config(path, env=env, flags={"--seed": "5", "--threshold": "0.3"})
-    assert (cfg.train.epochs, cfg.train.rng_seed, cfg.run["threshold"]) == (3, 5, 0.3)
+    assert (cfg.train.epochs, cfg.train.rng_seed, cfg.run.threshold) == (3, 5, 0.3)
     [(point, point_cfg)] = cfg.sweep
     assert point == {"train.epochs": "4"}
     assert (point_cfg.train.epochs, point_cfg.train.rng_seed) == (4, 5)
-    assert point_cfg.run["threshold"] == 0.3
+    assert point_cfg.run.threshold == 0.3
 
 
 def test_bad_values_name_their_source(tmp_path):
@@ -212,18 +214,63 @@ def test_bad_values_name_their_source(tmp_path):
     path.write_text("[train]\nepochs = soon\n")
     sweep = tmp_path / "sweep.cfg"
     sweep.write_text("[sweep]\ntrain.epochs = 1, soon\n")
+    record_sweep = tmp_path / "record_sweep.cfg"
+    record_sweep.write_text("[sweep]\nmodel.lstm_hidden = 4, -1\n")
     for kwargs, label in [({"path": path}, "[train] epochs"),
                           ({"env": {"WF_TRAIN_EPOCHS": "soon"}}, "env WF_TRAIN_EPOCHS"),
                           ({"flags": {"--threshold": "high"}}, "--threshold"),
                           ({"env": {"WF_SYNTH_FIRE_BIAS": "nan"}}, "env WF_SYNTH_FIRE_BIAS"),
                           ({"flags": {"--threshold": "inf"}}, "--threshold"),
                           ({"env": {"WF_RUN_MAX_MAPS": "-1"}}, "env WF_RUN_MAX_MAPS"),
-                          ({"path": sweep}, "[sweep] train.epochs")]:
+                          ({"path": sweep}, "[sweep] train.epochs"),
+                          # values that parse but that their section's record rejects
+                          ({"env": {"WF_MODEL_LSTM_HIDDEN": "0"}}, "env WF_MODEL_LSTM_HIDDEN"),
+                          ({"env": {"WF_SAMPLER_TILE_SIZE": "0"}}, "env WF_SAMPLER_TILE_SIZE"),
+                          ({"env": {"WF_SYNTH_FIRE_LOGIT_WEIGHTS": "1,2"}},
+                           "env WF_SYNTH_FIRE_LOGIT_WEIGHTS"),
+                          ({"path": record_sweep}, "[sweep] model.lstm_hidden")]:
         with pytest.raises(ConfigError, match=f"^bad value for {re.escape(label)}: "):
             load_config(**({"env": {}} | kwargs))
     sweep.write_text("[sweep]\nmodel.filter_scheme = 8, 16\n")
     with pytest.raises(ConfigError, match="^sweep key 'model.filter_scheme' takes a list"):
         load_config(sweep, env={})
+
+
+def test_schema_keys_set_their_records_fields():
+    """Each key sets a field of its section's record, [model] init_seed
+    alone going to RunSettings, and an empty config gives every record's
+    defaults."""
+    routed = []
+    for section, keys in config._SCHEMA.items():
+        for key in keys:
+            home = config._ROUTED.get((section, key), section)
+            assert key in {f.name for f in dataclasses.fields(config._RECORDS[home])}
+            if home != section:
+                routed.append((section, key, home))
+    assert routed == [("model", "init_seed", "run")]
+    cfg = load_config(env={})
+    assert set(config._RECORDS) == {f.name for f in dataclasses.fields(cfg)} - {"sweep"}
+    for home, record in config._RECORDS.items():
+        assert getattr(cfg, home) == record()
+    assert cfg.sweep == []
+
+
+def test_shipped_configs_load(tmp_path):
+    """README's example config and demo 06's heredoc load as written."""
+    readme = (ROOT / "README.md").read_text()
+    [ini] = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    path = tmp_path / "readme.cfg"
+    path.write_text(ini)
+    cfg = load_config(path, env={})
+    assert (cfg.model.arch, cfg.synth.grid) == ("unet", (192, 192))
+
+    demo = (ROOT / "demos" / "06_pipeline_cli.sh").read_text()
+    [heredoc] = re.findall(r"<<EOF\n(.*?)^EOF$", demo, re.S | re.M)
+    path.write_text(heredoc.replace("$RUN", str(tmp_path / "run")))
+    cfg = load_config(path, env={})
+    assert cfg.run.out == str(tmp_path / "run")
+    assert [point for point, _ in cfg.sweep] == [{"train.positive_weight": "1"},
+                                                 {"train.positive_weight": "3"}]
 
 
 # --- verbs -------------------------------------------------------------------------

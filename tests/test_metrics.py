@@ -266,3 +266,20 @@ def test_no_maps_for_no_samples(tmp_path):
     model = build(ModelConfig("autoencoder", (4,), in_channels=3, tile=8),
                   np.random.default_rng(0))
     assert metrics.write_probability_maps(model, [], tmp_path / "maps") == []
+
+
+def test_non_finite_probabilities_write_no_map(tmp_path):
+    """One NaN feature pixel makes its tile's probabilities NaN; the tile is
+    named and no map of any tile is written."""
+    rng = np.random.default_rng(0)
+    model = build(ModelConfig("autoencoder", (4,), in_channels=3, tile=8), rng)
+    samples = [Sample(features=rng.standard_normal((3, 8, 8)).astype(np.float32),
+                      label=np.zeros((8, 8), np.int8), date=datetime.date(2020, 1, 1 + i),
+                      origin=(8 * i, 0), split="test", kind="negative")
+               for i in range(3)]
+    samples[1].features[2, 4, 4] = np.nan
+    maps = tmp_path / "maps"
+    with np.errstate(invalid="ignore"), pytest.raises(
+            ValueError, match=r"^tile 1 \(date 2020-01-02, origin \(8, 0\)\) has non-finite"):
+        metrics.write_probability_maps(model, samples, maps)
+    assert not list(maps.glob("*"))
