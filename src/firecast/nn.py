@@ -11,7 +11,11 @@ Every op records its parents and a backward rule on the output tensor; the
 recorded graph is the gradient tape. backward() linearizes the graph
 reaching the loss into topological order and replays it once in reverse,
 accumulating gradients additively, so using a tensor twice doubles its
-gradient contribution.
+gradient contribution. It releases the tape as it walks it: once an
+interior node's rule has run, the node drops its gradient, its rule (with
+the arrays the rule saved) and its parents, so each activation is freed as
+soon as nothing later needs it. Only the leaves (requires_grad) keep their
+gradients, and a graph can be walked once.
 
 WFCK parameter checkpoints (save_checkpoint, load_checkpoint) are
 little-endian, with no padding:
@@ -101,7 +105,10 @@ def _accumulate(t, g):
 
 
 def backward(loss: Tensor) -> None:
-    """Populate .grad for every requires_grad tensor reachable from loss."""
+    """Populate .grad for every requires_grad tensor reachable from loss,
+    releasing the tape as it goes: once an interior node's rule has run,
+    the node drops its gradient, its rule (and with it the arrays the rule
+    saved) and its parents. Leaves keep their gradients."""
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
     loss.grad = np.ones_like(loss.data)
@@ -120,9 +127,15 @@ def backward(loss: Tensor) -> None:
         for p in node._parents:
             if id(p) not in seen:
                 stack.append((p, False))
-    for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
+    while order:
+        node = order.pop()
+        if node._backward is None:
+            continue
+        if node.grad is not None:
             node._backward(node.grad)
+        node.grad = None
+        node._backward = None
+        node._parents = ()
 
 
 # ---------------------------------------------------------------------------
@@ -258,20 +271,50 @@ def stable_sigmoid(z, dtype=np.float64):
 # spatial ops
 # ---------------------------------------------------------------------------
 
-def _taps(src, k):
+# Padded source bytes per conv2d chunk. A batch whose zero-padded input is
+# larger runs in ceil(bytes / CONV_CHUNK_BYTES) chunks, so that each chunk's
+# padded buffers stay in a core's L2 cache.
+CONV_CHUNK_BYTES = 512 * 1024
+
+
+def _chunks(n, nbytes):
+    """(lo, hi) ranges that cut a batch of n samples, whose padded source
+    takes nbytes, into chunks of ceil(n / count) samples, where count =
+    ceil(nbytes / CONV_CHUNK_BYTES) and at most n; the last chunk is
+    shorter when they do not divide."""
+    count = max(1, min(n, -(-nbytes // CONV_CHUNK_BYTES)))
+    size = max(1, -(-n // count))
+    return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
+
+
+def _padded_len(h, w, k):
+    """The length of one padded map for _taps: H + k - 1 rows of pitch
+    Wp = W + k - 1, and a k - 1 tail that leaves room for the last tap."""
+    return (h + k - 1) * (w + k - 1) + k - 1
+
+
+def _pad_buffer(n, c, h, w, k, dtype):
+    """A zero buffer [n, c, _padded_len] for _taps; None for k = 1, which
+    pads nothing."""
+    if k == 1:
+        return None
+    return np.zeros((n, c, _padded_len(h, w, k)), dtype=dtype)
+
+
+def _taps(src, k, buf):
     """Tap views [k, k, N, C, H*Wp] of src [N,C,H,W] zero-padded by
-    (k-1)//2 into one buffer [N, C, (H+k-1)*Wp + k-1] of maps with row
-    pitch Wp = W + k - 1. views[ki, kj] is the window that tap (ki, kj) of
-    a stride-1 'same' correlation reads for every output row; the k - 1
-    tail leaves room for the last tap. With nothing to pad (k = 1), the
-    views read src's own memory through a reshape."""
+    (k-1)//2 into the first N maps of buf (_pad_buffer). views[ki, kj] is
+    the window that tap (ki, kj) of a stride-1 'same' correlation reads for
+    every output row. Only the interior of buf is written, so its zero
+    border can be reused from chunk to chunk. With nothing to pad (k = 1),
+    the views read src's own memory through a reshape."""
     n, c, h, w = src.shape
     pad = (k - 1) // 2
     wp = w + k - 1
     if k == 1:
         buf = src.reshape(n, c, h * w)
     else:
-        buf = np.zeros((n, c, (h + k - 1) * wp + k - 1), dtype=src.dtype)
+        buf = buf[:n]
         maps = buf[:, :, :(h + k - 1) * wp].reshape(n, c, h + k - 1, wp)
         maps[:, :, pad:pad + h, pad:pad + w] = src
     sn, sc, sl = buf.strides
@@ -279,16 +322,28 @@ def _taps(src, k):
                       writeable=False)
 
 
-def _correlate(views, kernel):
-    """Sum over taps of kernel[:, :, ki, kj] @ views[ki, kj]: kernel
-    [F,C,k,k] and views [k, k, N, C, M] -> [N, F, M], one batched GEMM per
-    tap accumulated in place."""
-    wtaps = np.ascontiguousarray(kernel.transpose(2, 3, 0, 1))  # [k, k, F, C]
-    acc = np.matmul(wtaps[0, 0], views[0, 0])
-    prod = np.empty_like(acc)
+def _scratch(size, f, h, w, k, dtype):
+    """_correlate's accumulator and product scratch [2, size, F, H*Wp];
+    None for k = 1."""
+    if k == 1:
+        return None
+    return np.empty((2, size, f, h * (w + k - 1)), dtype=dtype)
+
+
+def _correlate(views, wtaps, out, scratch):
+    """out [N,F,H,W] = the sum over taps of wtaps[ki, kj] @ views[ki, kj]
+    (wtaps [k,k,F,C], views [k,k,N,C,H*Wp]), the junk columns dropped: one
+    batched GEMM per tap, accumulated in place in scratch (_scratch). A
+    1x1 correlation is one batched GEMM straight into out."""
+    n, f, h, w = out.shape
+    if scratch is None:
+        np.matmul(wtaps[0, 0], views[0, 0], out=out.reshape(n, f, h * w))
+        return
+    acc, prod = scratch[0, :n], scratch[1, :n]
+    np.matmul(wtaps[0, 0], views[0, 0], out=acc)
     for t in list(np.ndindex(wtaps.shape[:2]))[1:]:
         acc += np.matmul(wtaps[t], views[t], out=prod)
-    return acc
+    out[...] = acc.reshape(n, f, h, -1)[:, :, :, :w]
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
@@ -305,14 +360,23 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     accumulated into [N, F, H*Wp] (_correlate). The k - 1 columns past each
     output row are junk and are dropped.
 
-    - Forward: the taps of x; a 1x1 conv reads x's own memory. Backward
-      keeps only this buffer.
+    - Forward: the taps of x; a 1x1 conv reads x's own memory.
     - Input gradient: the taps of g, correlated with the kernel flipped
       and its F, C axes swapped (the transposed conv, arXiv 1603.07285,
       which at stride 1 and odd k is the forward's own correlation).
-    - Kernel gradient: one GEMM per tap of the forward's tap views with
-      g's centre tap view, which is g at pitch Wp with zeros in the junk
-      columns.
+    - Kernel gradient: one GEMM per tap of x's tap views with g's centre
+      tap view, which is g at pitch Wp with zeros in the junk columns.
+
+    Every product runs over chunks of the batch (_chunks), as many as the
+    padded x takes CONV_CHUNK_BYTES, so that each chunk's buffers stay in
+    cache. A batch under that budget stays whole, as does a 1x1 conv,
+    which pads nothing: cutting it costs more in GEMM calls than the cache
+    gives back. Each chunk is padded into one scratch buffer reused from
+    chunk to chunk, and the tape keeps no padded copy: backward pads x
+    again, chunk by chunk. Each sample's GEMMs are independent, and the
+    kernel gradient keeps its sum over the batch in sample order by
+    carrying the running sum into the next chunk's, so the bytes do not
+    depend on the chunking.
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ShapeError("conv2d: x must be [N,C,H,W] and kernel [F,C,k,k]")
@@ -325,27 +389,45 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(f"conv2d: bias {bias.shape} must be ({f},)")
     k = kh
     pad = (k - 1) // 2
-    wp = w + k - 1
+    chunks = _chunks(n, n * c * _padded_len(h, w, k) * x.data.itemsize if k > 1 else 0)
+    size = chunks[0][1] if chunks else 0  # samples in the largest chunk
 
-    views = _taps(x.data, k)
-    acc = _correlate(views, kernel.data)
-    acc += bias.data[:, None]
-    out = np.ascontiguousarray(acc.reshape(n, f, h, wp)[:, :, :, :w])
+    wtaps = np.ascontiguousarray(kernel.data.transpose(2, 3, 0, 1))  # [k, k, F, C]
+    out = np.empty((n, f, h, w), dtype=np.result_type(x.data, kernel.data))
+    xbuf = _pad_buffer(size, c, h, w, k, x.data.dtype)
+    scratch = _scratch(size, f, h, w, k, out.dtype)
+    for lo, hi in chunks:
+        _correlate(_taps(x.data[lo:hi], k, xbuf), wtaps, out[lo:hi], scratch)
+    out += bias.data[:, None, None]
 
     def back(g):
         _accumulate(bias, g.reshape(n, f, h * w).sum(axis=(0, 2)))
-        gviews = _taps(g, k)
-        gz = gviews[pad, pad]  # g at pitch Wp, zeros in the junk columns
-        dk = np.empty(kernel.shape, dtype=g.dtype)
-        for ki, kj in np.ndindex(k, k):
-            # batched GEMMs; BLAS consumes the transposed view directly
-            dk[:, :, ki, kj] = np.matmul(gz, views[ki, kj].transpose(0, 2, 1)).sum(axis=0)
-        _accumulate(kernel, dk)
-        if x._backward is None and not x.requires_grad:
-            return
-        wflip = kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)  # [C, F, k, k]
-        dx = _correlate(gviews, wflip).reshape(n, c, h, wp)
-        _accumulate(x, np.ascontiguousarray(dx[:, :, :, :w]))
+        want_dx = x._backward is not None or x.requires_grad
+        # each tap's [F, C] products, one per sample of the chunk; slot 0
+        # carries the tap's sum over the earlier chunks
+        parts = np.empty((size + 1, f, c), dtype=np.result_type(g, x.data))
+        sums = np.zeros((k, k, f, c), dtype=parts.dtype)
+        xbuf = _pad_buffer(size, c, h, w, k, x.data.dtype)
+        gbuf = _pad_buffer(size, f, h, w, k, g.dtype)
+        if want_dx:
+            wflip = np.ascontiguousarray(kernel.data[:, :, ::-1, ::-1].transpose(2, 3, 1, 0))
+            dx = np.empty(x.shape, dtype=np.result_type(g, kernel.data))
+            scratch = _scratch(size, c, h, w, k, dx.dtype)
+        for lo, hi in chunks:
+            gviews = _taps(g[lo:hi], k, gbuf)
+            xviews = _taps(x.data[lo:hi], k, xbuf)
+            gz = gviews[pad, pad]  # g at pitch Wp, zeros in the junk columns
+            start = 0 if lo else 1
+            for t in np.ndindex(k, k):
+                # batched GEMMs; BLAS consumes the transposed view directly
+                np.matmul(gz, xviews[t].transpose(0, 2, 1), out=parts[1:1 + hi - lo])
+                parts[0] = sums[t]
+                sums[t] = parts[start:1 + hi - lo].sum(axis=0)
+            if want_dx:
+                _correlate(gviews, wflip, dx[lo:hi], scratch)
+        _accumulate(kernel, np.ascontiguousarray(sums.transpose(2, 3, 0, 1), dtype=g.dtype))
+        if want_dx:
+            _accumulate(x, dx)
 
     return _make(out, (x, kernel, bias), back)
 

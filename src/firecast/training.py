@@ -149,8 +149,8 @@ def train(model, train_data, val_data, cfg: TrainConfig) -> TrainReport:
             nn.backward(loss)
             adam_step(params, {k: p.grad for k, p in params.items()}, state, cfg)
             losses.append(loss.item())
-            # the graph holds every activation and interior gradient; free
-            # it before the next batch builds its own
+            # backward has released the tape behind the loss, so only the
+            # logits' own data are left to free before the next batch
             del logits, loss
 
         probs, labels = metrics.predict_pixels(model, val_data)

@@ -1,6 +1,8 @@
+import hashlib
 import struct
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -9,7 +11,9 @@ from hypothesis import strategies as st
 
 from firecast import nn
 from firecast.binio import FormatError
+from firecast.models import ARCHS, ModelConfig, build
 from firecast.nn import Tensor
+from firecast.training import weighted_bce
 
 from gradcheck import check_grads, numeric_grad, rel_err
 
@@ -206,6 +210,80 @@ def test_conv_backward_builds_no_patch_matrix(c, f):
         tracemalloc.stop()
     assert x.grad.shape == x.shape
     assert peak < 3 * (x.data.nbytes + g.nbytes)
+
+
+def conv_result_bytes(x64, k64, b64, g64, dtype):
+    """Output, input-, kernel- and bias-gradient bytes of one conv2d."""
+    x = Tensor(x64.astype(dtype), requires_grad=True)
+    kernel = Tensor(k64.astype(dtype), requires_grad=True)
+    b = Tensor(b64.astype(dtype), requires_grad=True)
+    y = nn.conv2d(x, kernel, b)
+    nn.backward(nn.tsum(nn.mul(y, Tensor(g64.astype(dtype)))))
+    return [t.tobytes() for t in (y.data, x.grad, kernel.grad, b.grad)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_conv_chunks_give_the_bytes_of_one_chunk(monkeypatch, dtype, k):
+    """One sample per chunk, and three chunks of 3, 3 and 1 samples, give
+    the bytes of the whole batch in one chunk. A 1x1 conv pads nothing and
+    runs whole at any budget."""
+    rng = np.random.default_rng(k)
+    n, c, f, h, w = 7, 5, 6, 9, 11
+    args = (rng.normal(size=(n, c, h, w)), rng.normal(size=(f, c, k, k)),
+            rng.normal(size=f), rng.normal(size=(n, f, h, w)))
+    padded = n * c * nn._padded_len(h, w, k) * np.dtype(dtype).itemsize
+    monkeypatch.setattr(nn, "CONV_CHUNK_BYTES", 2 * padded)
+    whole = conv_result_bytes(*args, dtype)
+    uneven = padded // 3 + 1
+    if k > 1:
+        monkeypatch.setattr(nn, "CONV_CHUNK_BYTES", uneven)
+        assert nn._chunks(n, padded) == [(0, 3), (3, 6), (6, 7)]
+    for budget in (1, uneven):
+        monkeypatch.setattr(nn, "CONV_CHUNK_BYTES", budget)
+        assert conv_result_bytes(*args, dtype) == whole
+
+
+def test_chunked_model_step_gives_the_same_bytes(monkeypatch):
+    """The sha256 of the logits and every parameter gradient of each
+    architecture does not depend on how conv2d cuts the batch."""
+    def digest(arch):
+        cfg = ModelConfig(arch, (4, 8), tile=16)
+        model = build(cfg, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(5, 3, 10, 16, 16) if cfg.is_sequence else (5, 10, 16, 16))
+        logits = model.forward(x)
+        nn.backward(weighted_bce(logits, rng.choice([-1, 0, 1], size=(5, 16, 16)), 3.0))
+        h = hashlib.sha256(logits.data.tobytes())
+        for name in sorted(model.params):
+            h.update(model.params[name].grad.tobytes())
+        return h.hexdigest()
+
+    for arch in ARCHS:
+        monkeypatch.setattr(nn, "CONV_CHUNK_BYTES", 1 << 40)
+        whole = digest(arch)
+        for budget in (1, 20_000):
+            monkeypatch.setattr(nn, "CONV_CHUNK_BYTES", budget)
+            assert digest(arch) == whole, (arch, budget)
+
+
+def test_conv_keeps_no_padded_copy_on_the_tape():
+    """After the forward of a conv whose padded input is over the chunk
+    budget, what it holds is about y: no whole-batch padded copy of x."""
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(16, 16, 32, 32)).astype(np.float32), requires_grad=True)
+    kernel = Tensor(rng.normal(size=(16, 16, 3, 3)).astype(np.float32), requires_grad=True)
+    b = Tensor(np.zeros(16, np.float32), requires_grad=True)
+    padded = x.data.size // (32 * 32) * nn._padded_len(32, 32, 3) * x.data.itemsize
+    assert padded > 2 * nn.CONV_CHUNK_BYTES
+    tracemalloc.start()
+    try:
+        y = nn.conv2d(x, kernel, b)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert y._backward is not None
+    assert held < y.data.nbytes + nn.CONV_CHUNK_BYTES
 
 
 # --- pooling / upsampling ----------------------------------------------------
@@ -634,6 +712,29 @@ def test_reuse_doubles_gradient():
     once = Tensor(w.data.copy(), requires_grad=True)
     nn.backward(nn.tsum(once))
     np.testing.assert_allclose(w.grad, 2 * once.grad)
+
+
+def test_backward_releases_interior_nodes():
+    """backward drops each interior node's gradient, rule and parents once
+    the rule has run, so an activation is freed before the loss is; the
+    leaves keep their gradients."""
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.normal(size=(2, 3, 6, 6)), requires_grad=True)
+    k1 = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
+    k2 = Tensor(rng.normal(size=(2, 4, 3, 3)), requires_grad=True)
+    b1 = Tensor(np.zeros(4), requires_grad=True)
+    b2 = Tensor(np.zeros(2), requires_grad=True)
+    hidden = nn.relu(nn.conv2d(x, k1, b1))
+    activation = weakref.ref(hidden.data)
+    loss = nn.tsum(nn.conv2d(hidden, k2, b2))
+    del hidden
+    assert activation() is not None
+    nn.backward(loss)
+    assert activation() is None
+    assert loss.grad is None and loss._backward is None and loss._parents == ()
+    for leaf in (x, k1, k2, b1, b2):
+        assert leaf.grad is not None and leaf.grad.shape == leaf.shape
+    np.testing.assert_array_equal(b2.grad, [72.0, 72.0])
 
 
 def test_composite_conv_relu_pool_grads():

@@ -340,6 +340,17 @@ def tape(loss):
     return list(seen.values())
 
 
+def recording(rule, dtypes):
+    """rule, wrapped to append the dtype of each gradient it is handed to
+    dtypes."""
+
+    def back(g):
+        dtypes.append(g.dtype)
+        rule(g)
+
+    return back
+
+
 @pytest.mark.parametrize("arch", ARCHS)
 def test_float32_training_step_stays_float32(arch):
     # a float64 input and float64 state anywhere on the tape would widen
@@ -354,9 +365,18 @@ def test_float32_training_step_stays_float32(arch):
     assert logits.data.dtype == np.float32
     loss = weighted_bce(logits, y, 3.0)
     assert loss.data.dtype == np.float64
-    nn.backward(loss)
     nodes = [t for t in tape(loss) if t is not loss]
     assert len(nodes) > len(params)
+    # backward releases each interior node's gradient once its rule has
+    # run, so record the dtype of the gradient each rule is handed
+    dtypes = []
+    for t in nodes:
+        if t._backward is not None:
+            t._backward = recording(t._backward, dtypes)
+    nn.backward(loss)
+    assert dtypes
+    for dtype in dtypes:
+        assert dtype == np.float32
     for t in nodes:
         assert t.data.dtype == np.float32
         assert t.grad is None or t.grad.dtype == np.float32
