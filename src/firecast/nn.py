@@ -7,15 +7,22 @@ allocates (padding, pooling and slicing gradients, reductions) takes that
 dtype too, so a float32 graph stays float32 forward and backward. The
 models train and infer in float32; the gradient checks run in float64.
 
-Every op records its parents and a backward rule on the output tensor; the
-recorded graph is the gradient tape. backward() linearizes the graph
-reaching the loss into topological order and replays it once in reverse,
-accumulating gradients additively, so using a tensor twice doubles its
-gradient contribution. It releases the tape as it walks it: once an
-interior node's rule has run, the node drops its gradient, its rule (with
-the arrays the rule saved) and its parents, so each activation is freed as
-soon as nothing later needs it. Only the leaves (requires_grad) keep their
-gradients, and a graph can be walked once.
+The gradient tape is a graph of nodes kept apart from the tensors' data.
+A Tensor holds its data and one _Node; the node holds the gradient,
+requires_grad, the parent nodes and the backward rule. Every op records
+the parents' nodes and a rule on its output's node, and each rule saves
+only the arrays it reads (conv2d saves x and the kernel, relu its own
+output, add nothing), never a parent Tensor. So once the model code drops
+a temporary, its data is freed at forward time unless some rule reads it.
+
+backward() linearizes the graph reaching the loss into topological order
+and replays it once in reverse, accumulating gradients additively, so
+using a tensor twice doubles its gradient contribution. It releases the
+tape as it walks it: once an interior node's rule has run, the node drops
+its gradient, its rule (with the arrays the rule saved) and its parents,
+so each saved array is freed as soon as nothing later needs it. Only the
+leaves (requires_grad) keep their gradients, and a graph can be walked
+once.
 
 WFCK parameter checkpoints (save_checkpoint, load_checkpoint) are
 little-endian, with no padding:
@@ -62,18 +69,43 @@ def no_grad():
         _grad_enabled = prev
 
 
+class _Node:
+    """A tensor's place on the gradient tape: its gradient, the parent
+    nodes it was computed from and the rule that hands a gradient on to
+    them. A node holds no tensor data."""
+
+    __slots__ = ("grad", "requires_grad", "parents", "backward")
+
+    def __init__(self, requires_grad=False):
+        self.grad = None
+        self.requires_grad = requires_grad
+        self.parents = ()
+        self.backward = None
+
+
+def _node_field(name):
+    """A Tensor property that reads and sets its node's field name."""
+    return property(lambda t: getattr(t.node, name),
+                    lambda t, value: setattr(t.node, name, value))
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    """An array and its tape node; grad, requires_grad, _parents (the
+    parent nodes) and _backward read and set the node's fields."""
+
+    __slots__ = ("data", "node")
 
     def __init__(self, data, requires_grad=False):
         data = np.asarray(data)
         if data.dtype not in _FLOATS:
             data = data.astype(np.float64)
         self.data = data
-        self.grad = None
-        self.requires_grad = requires_grad
-        self._parents = ()
-        self._backward = None
+        self.node = _Node(requires_grad)
+
+    grad = _node_field("grad")
+    requires_grad = _node_field("requires_grad")
+    _parents = _node_field("parents")
+    _backward = _node_field("backward")
 
     @property
     def shape(self):
@@ -86,35 +118,42 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-def _tracked(*tensors):
-    return _grad_enabled and any(t.requires_grad or t._parents for t in tensors)
+def _wants_grad(node):
+    """Whether node is on the tape: a leaf that requires grad, or an op
+    output with a rule."""
+    return node.backward is not None or node.requires_grad
 
 
 def _make(data, parents, backward):
+    """The output Tensor of an op on the parent tensors; when any parent is
+    on the tape, its node records the parents' nodes and the rule."""
     out = Tensor(data)
-    if _tracked(*parents):
-        out._parents = parents
-        out._backward = backward
+    if _grad_enabled and any(_wants_grad(t.node) for t in parents):
+        out.node.parents = tuple(t.node for t in parents)
+        out.node.backward = backward
     return out
 
 
-def _accumulate(t, g):
-    if t._backward is None and not t.requires_grad:
-        return
-    t.grad = g if t.grad is None else t.grad + g
+def _accumulate(node, g):
+    if _wants_grad(node):
+        node.grad = g if node.grad is None else node.grad + g
 
 
 def backward(loss: Tensor) -> None:
-    """Populate .grad for every requires_grad tensor reachable from loss,
-    releasing the tape as it goes: once an interior node's rule has run,
-    the node drops its gradient, its rule (and with it the arrays the rule
-    saved) and its parents. Leaves keep their gradients."""
+    """Populate .grad for every requires_grad tensor reachable from loss.
+
+    The tape is a graph of nodes, and each node's rule saved only the
+    arrays it reads. backward walks the nodes in reverse topological order
+    and releases the tape as it goes: once an interior node's rule has
+    run, the node drops its gradient, its rule (and with it the arrays the
+    rule saved) and its parents. Leaves keep their gradients."""
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-    loss.grad = np.ones_like(loss.data)
+    root = loss.node
+    root.grad = np.ones_like(loss.data)
     order = []  # parents before children
     seen = set()
-    stack = [(loss, False)]
+    stack = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -124,18 +163,18 @@ def backward(loss: Tensor) -> None:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
+        for p in node.parents:
             if id(p) not in seen:
                 stack.append((p, False))
     while order:
         node = order.pop()
-        if node._backward is None:
+        if node.backward is None:
             continue
         if node.grad is not None:
-            node._backward(node.grad)
+            node.backward(node.grad)
         node.grad = None
-        node._backward = None
-        node._parents = ()
+        node.backward = None
+        node.parents = ()
 
 
 # ---------------------------------------------------------------------------
@@ -146,9 +185,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"add: {a.shape} vs {b.shape}")
 
+    na, nb = a.node, b.node
+
     def back(g):
-        _accumulate(a, g)
-        _accumulate(b, g)
+        _accumulate(na, g)
+        _accumulate(nb, g)
 
     return _make(a.data + b.data, (a, b), back)
 
@@ -157,36 +198,45 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"mul: {a.shape} vs {b.shape}")
 
-    def back(g):
-        _accumulate(a, g * b.data)
-        _accumulate(b, g * a.data)
+    na, nb, ad, bd = a.node, b.node, a.data, b.data
 
-    return _make(a.data * b.data, (a, b), back)
+    def back(g):
+        _accumulate(na, g * bd)
+        _accumulate(nb, g * ad)
+
+    return _make(ad * bd, (a, b), back)
 
 
 def relu(x: Tensor) -> Tensor:
-    """max(x, 0), which lets NaN through; the gradient passes where x > 0."""
+    """max(x, 0), which lets NaN through; the gradient passes where x > 0.
+
+    The rule reads the sign of its own output, y > 0, which is x > 0 bit
+    for bit (NaN, -0 and +0 included), so the tape keeps y and not x."""
+    nx = x.node
+    y = np.maximum(x.data, 0)
 
     def back(g):
-        _accumulate(x, g * (x.data > 0))
+        _accumulate(nx, g * (y > 0))
 
-    return _make(np.maximum(x.data, 0), (x,), back)
+    return _make(y, (x,), back)
 
 
 def sigmoid(x: Tensor) -> Tensor:
+    nx = x.node
     y = stable_sigmoid(x.data, x.data.dtype)
 
     def back(g):
-        _accumulate(x, g * y * (1.0 - y))
+        _accumulate(nx, g * y * (1.0 - y))
 
     return _make(y, (x,), back)
 
 
 def tanh(x: Tensor) -> Tensor:
+    nx = x.node
     y = np.tanh(x.data)
 
     def back(g):
-        _accumulate(x, g * (1.0 - y * y))
+        _accumulate(nx, g * (1.0 - y * y))
 
     return _make(y, (x,), back)
 
@@ -196,10 +246,11 @@ def concat(tensors, axis=0) -> Tensor:
     tensors = list(tensors)
     offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
     lead = (slice(None),) * axis
+    nodes = [t.node for t in tensors]
 
     def back(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            _accumulate(t, g[lead + (slice(lo, hi),)])
+        for node, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
+            _accumulate(node, g[lead + (slice(lo, hi),)])
 
     return _make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), back)
 
@@ -216,11 +267,12 @@ def concat_channels(tensors) -> Tensor:
 
 def _take(x: Tensor, key) -> Tensor:
     """x.data[key] as a view; backward places g into zeros of x's shape."""
+    nx, shape, dtype = x.node, x.shape, x.data.dtype
 
     def back(g):
-        full = np.zeros(x.shape, dtype=x.data.dtype)
+        full = np.zeros(shape, dtype=dtype)
         full[key] = g
-        _accumulate(x, full)
+        _accumulate(nx, full)
 
     return _make(x.data[key], (x,), back)
 
@@ -237,18 +289,20 @@ def split_channels(x: Tensor, sizes) -> list[Tensor]:
 
 def tsum(x: Tensor) -> Tensor:
     """Full reduction to a scalar."""
+    nx, shape, dtype = x.node, x.shape, x.data.dtype
 
     def back(g):
-        _accumulate(x, np.full(x.shape, g, dtype=x.data.dtype))
+        _accumulate(nx, np.full(shape, g, dtype=dtype))
 
     return _make(x.data.sum(), (x,), back)
 
 
 def tmean(x: Tensor) -> Tensor:
     n = x.data.size
+    nx, shape, dtype = x.node, x.shape, x.data.dtype
 
     def back(g):
-        _accumulate(x, np.full(x.shape, g / n, dtype=x.data.dtype))
+        _accumulate(nx, np.full(shape, g / n, dtype=dtype))
 
     return _make(x.data.mean(), (x,), back)
 
@@ -399,23 +453,25 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     for lo, hi in chunks:
         _correlate(_taps(x.data[lo:hi], k, xbuf), wtaps, out[lo:hi], scratch)
     out += bias.data[:, None, None]
+    nx, nk, nb = x.node, kernel.node, bias.node
+    xd, kd = x.data, kernel.data
 
     def back(g):
-        _accumulate(bias, g.reshape(n, f, h * w).sum(axis=(0, 2)))
-        want_dx = x._backward is not None or x.requires_grad
+        _accumulate(nb, g.reshape(n, f, h * w).sum(axis=(0, 2)))
+        want_dx = _wants_grad(nx)
         # each tap's [F, C] products, one per sample of the chunk; slot 0
         # carries the tap's sum over the earlier chunks
-        parts = np.empty((size + 1, f, c), dtype=np.result_type(g, x.data))
+        parts = np.empty((size + 1, f, c), dtype=np.result_type(g, xd))
         sums = np.zeros((k, k, f, c), dtype=parts.dtype)
-        xbuf = _pad_buffer(size, c, h, w, k, x.data.dtype)
+        xbuf = _pad_buffer(size, c, h, w, k, xd.dtype)
         gbuf = _pad_buffer(size, f, h, w, k, g.dtype)
         if want_dx:
-            wflip = np.ascontiguousarray(kernel.data[:, :, ::-1, ::-1].transpose(2, 3, 1, 0))
-            dx = np.empty(x.shape, dtype=np.result_type(g, kernel.data))
+            wflip = np.ascontiguousarray(kd[:, :, ::-1, ::-1].transpose(2, 3, 1, 0))
+            dx = np.empty(xd.shape, dtype=np.result_type(g, kd))
             scratch = _scratch(size, c, h, w, k, dx.dtype)
         for lo, hi in chunks:
             gviews = _taps(g[lo:hi], k, gbuf)
-            xviews = _taps(x.data[lo:hi], k, xbuf)
+            xviews = _taps(xd[lo:hi], k, xbuf)
             gz = gviews[pad, pad]  # g at pitch Wp, zeros in the junk columns
             start = 0 if lo else 1
             for t in np.ndindex(k, k):
@@ -425,9 +481,9 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
                 sums[t] = parts[start:1 + hi - lo].sum(axis=0)
             if want_dx:
                 _correlate(gviews, wflip, dx[lo:hi], scratch)
-        _accumulate(kernel, np.ascontiguousarray(sums.transpose(2, 3, 0, 1), dtype=g.dtype))
+        _accumulate(nk, np.ascontiguousarray(sums.transpose(2, 3, 0, 1), dtype=g.dtype))
         if want_dx:
-            _accumulate(x, dx)
+            _accumulate(nx, dx)
 
     return _make(out, (x, kernel, bias), back)
 
@@ -451,22 +507,23 @@ def max_pool2(x: Tensor) -> Tensor:
     n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"max_pool2: H and W must be even, got {h}x{w}")
-    q0, q1, q2, q3 = _quadrants(x.data)
+    nx, xd = x.node, x.data
+    q0, q1, q2, q3 = _quadrants(xd)
     out = np.maximum(q0, q1)
     np.maximum(out, q2, out=out)
     np.maximum(out, q3, out=out)
 
     def back(g):
         bits = np.dtype(f"u{g.itemsize}")
-        dx = np.empty(x.shape, dtype=g.dtype)
+        dx = np.empty(xd.shape, dtype=g.dtype)
         taken = np.zeros(out.shape, dtype=bool)
-        for q, dq in zip(_quadrants(x.data), _quadrants(dx)):
+        for q, dq in zip(_quadrants(xd), _quadrants(dx)):
             hit = q == out
             np.greater(hit, taken, out=hit)  # hit and not taken
             taken |= hit
             keep = np.negative(hit, dtype=bits)  # True -> all bits set
             np.bitwise_and(g.view(bits), keep, out=dq.view(bits))
-        _accumulate(x, dx)
+        _accumulate(nx, dx)
 
     return _make(out, (x,), back)
 
@@ -474,11 +531,12 @@ def max_pool2(x: Tensor) -> Tensor:
 def upsample2(x: Tensor) -> Tensor:
     """Nearest-neighbor 2x replication; backward sums g's four quadrants,
     each 2x2 child block's sum."""
+    nx = x.node
     out = np.repeat(np.repeat(x.data, 2, axis=2), 2, axis=3)
 
     def back(g):
         q0, q1, q2, q3 = _quadrants(g)
-        _accumulate(x, (q0 + q1) + (q2 + q3))
+        _accumulate(nx, (q0 + q1) + (q2 + q3))
 
     return _make(out, (x,), back)
 
@@ -548,12 +606,13 @@ def flush_subnormal(x: Tensor) -> Tensor:
     values, backward flushes subnormal gradients (and passes none through
     a flushed value). Arrays with nothing to flush pass through as they are.
     """
+    nx = x.node
     sub = _subnormal(x.data)
 
     def back(g):
         drop = _subnormal(g)
         drop |= sub
-        _accumulate(x, np.where(drop, 0, g) if drop.any() else g)
+        _accumulate(nx, np.where(drop, 0, g) if drop.any() else g)
 
     return _make(np.where(sub, 0, x.data) if sub.any() else x.data, (x,), back)
 

@@ -58,11 +58,12 @@ def weighted_bce(logits: Tensor, labels, w_pos: float) -> Tensor:
     per_pixel = weight * (y * softplus_pos + (1.0 - y) * softplus_neg)
     value = per_pixel.sum(dtype=np.float64) / n_valid
 
+    node, shape = logits.node, logits.shape
+
     def back(g):
         s = nn.stable_sigmoid(z, z.dtype)
         dz = weight * (s - y) * (float(g) / n_valid)
-        _shape = logits.data.shape
-        nn._accumulate(logits, dz.reshape(_shape))
+        nn._accumulate(node, dz.reshape(shape))
 
     return nn._make(np.float64(value), (logits,), back)
 
@@ -149,8 +150,9 @@ def train(model, train_data, val_data, cfg: TrainConfig) -> TrainReport:
             nn.backward(loss)
             adam_step(params, {k: p.grad for k, p in params.items()}, state, cfg)
             losses.append(loss.item())
-            # backward has released the tape behind the loss, so only the
-            # logits' own data are left to free before the next batch
+            # the tape held only the arrays its rules read, and backward
+            # released it behind the loss, so only the logits' own data
+            # are left to free before the next batch
             del logits, loss
 
         probs, labels = metrics.predict_pixels(model, val_data)

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import struct
 import tracemalloc
 import warnings
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from firecast import nn
 from firecast.binio import FormatError
-from firecast.models import ARCHS, ModelConfig, build
+from firecast.models import ARCHS, ModelConfig, ResidualBlock, build
 from firecast.nn import Tensor
 from firecast.training import weighted_bce
 
@@ -735,6 +736,161 @@ def test_backward_releases_interior_nodes():
     for leaf in (x, k1, k2, b1, b2):
         assert leaf.grad is not None and leaf.grad.shape == leaf.shape
     np.testing.assert_array_equal(b2.grad, [72.0, 72.0])
+
+
+def recorded(monkeypatch, *ops):
+    """Wrap the named nn ops so that each call appends a weakref to its
+    output's data to refs[op]; returns refs."""
+    refs = {op: [] for op in ops}
+    for op in ops:
+        def wrapper(*args, _op=getattr(nn, op), _refs=refs[op]):
+            out = _op(*args)
+            _refs.append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(nn, op, wrapper)
+    return refs
+
+
+def test_residual_block_tape_frees_what_no_rule_reads(monkeypatch):
+    """After a residual block's forward, the data of its conv outputs that
+    feed a ReLU or the add, its projection and its add are freed: add's
+    rule reads nothing and relu's reads its own output. The inner ReLU
+    output, which conv2's rule reads, lives until backward."""
+    rng = np.random.default_rng(5)
+    block = ResidualBlock(3, 4, rng)
+    refs = recorded(monkeypatch, "conv2d", "add", "relu")
+    loss = nn.tsum(block(Tensor(rng.normal(size=(2, 3, 6, 6)))))
+    conv1, conv2, proj = refs["conv2d"]
+    inner, _ = refs["relu"]
+    (added,) = refs["add"]
+    for ref in (conv1, conv2, proj, added):
+        assert ref() is None
+    assert inner() is not None
+    nn.backward(loss)
+    assert inner() is None
+    for t in block.named_params("b").values():
+        assert t.grad is not None and t.grad.shape == t.shape
+
+
+def test_unet_tape_holds_under_half_of_its_outputs(monkeypatch):
+    """After a U-Net forward, the tape holds less than half the bytes of
+    all the op outputs the forward made."""
+    model = build(ModelConfig("unet", (4, 8), tile=16), np.random.default_rng(0))
+    x = Tensor(np.random.default_rng(1).normal(size=(8, 10, 16, 16)).astype(np.float32))
+    made = []
+    make = nn._make
+
+    def sized_make(data, parents, backward):
+        out = make(data, parents, backward)
+        made.append(out.data.nbytes)
+        return out
+
+    monkeypatch.setattr(nn, "_make", sized_make)
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        logits = model.forward(x)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert logits._backward is not None
+    assert held < sum(made) / 2
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_output_sign_rule_gives_the_input_sign_gradient(dtype):
+    """relu's rule passes g where its output is positive: the bytes of
+    g * (x > 0), on NaN, +-0, +-inf, +-subnormals and normal values, each
+    against every g of the same list."""
+    info = np.finfo(dtype)
+    values = np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf,
+                       info.smallest_subnormal, -info.smallest_subnormal,
+                       info.tiny / 3, -info.tiny / 3, info.tiny, -info.tiny,
+                       1.5, -1.5, info.max, -info.max], dtype)
+    x = np.repeat(values, len(values))
+    g = np.tile(values, len(values))
+    t = Tensor(x, requires_grad=True)
+    y = nn.relu(t)
+    with np.errstate(invalid="ignore"):  # inf * 0
+        y._backward(g)
+        want = g * (x > 0)
+    assert t.grad.dtype == dtype
+    assert t.grad.tobytes() == want.tobytes()
+
+
+def holds_tensor(obj, seen):
+    """Whether obj is a Tensor, or a list, tuple, dict or function closure
+    that holds one."""
+    if id(obj) in seen:
+        return False
+    seen.add(id(obj))
+    if isinstance(obj, Tensor):
+        return True
+    if isinstance(obj, (list, tuple)):
+        return any(holds_tensor(o, seen) for o in obj)
+    if isinstance(obj, dict):
+        return any(holds_tensor(o, seen) for o in obj.values())
+    if inspect.isfunction(obj):
+        cells = [cell.cell_contents for cell in obj.__closure__ or ()
+                 if cell.cell_contents is not None]
+        return any(holds_tensor(o, seen) for o in cells)
+    return False
+
+
+# the nn functions that are not ops on tensors
+NOT_OPS = {"no_grad", "backward", "stable_sigmoid", "he_uniform",
+           "save_checkpoint", "load_checkpoint"}
+
+
+def op_outputs():
+    """The outputs of every nn op (and the BCE loss), each op called once
+    on tracked inputs."""
+    rng = np.random.default_rng(0)
+
+    def t(*shape):
+        return Tensor(rng.normal(size=shape), requires_grad=True)
+
+    x = t(2, 3, 4, 4)
+    return {
+        "add": [nn.add(t(2, 3), t(2, 3))],
+        "mul": [nn.mul(t(2, 3), t(2, 3))],
+        "relu": [nn.relu(x)],
+        "sigmoid": [nn.sigmoid(x)],
+        "tanh": [nn.tanh(x)],
+        "concat": [nn.concat([t(2, 3), t(1, 3)])],
+        "concat_channels": [nn.concat_channels([x, t(2, 1, 4, 4)])],
+        "split_channels": nn.split_channels(x, [1, 2]),
+        "tsum": [nn.tsum(x)],
+        "tmean": [nn.tmean(x)],
+        "slice_time": [nn.slice_time(t(2, 3, 4), 1)],
+        "conv2d": [nn.conv2d(x, t(5, 3, 3, 3), t(5))],
+        "max_pool2": [nn.max_pool2(x)],
+        "upsample2": [nn.upsample2(x)],
+        "flush_subnormal": [nn.flush_subnormal(x)],
+        "conv_lstm_step": list(nn.conv_lstm_step(x, t(2, 2, 4, 4), t(2, 2, 4, 4),
+                                                 nn.ConvLSTMWeights(3, 2, rng))),
+        "weighted_bce": [weighted_bce(t(2, 1, 4, 4), rng.choice([-1, 0, 1], size=(2, 4, 4)),
+                                      3.0)],
+    }
+
+
+def test_no_backward_rule_holds_a_tensor():
+    """No rule anywhere on the tape of any op closes over a Tensor, which
+    would keep its data alive until backward; rules capture nodes and the
+    arrays they read."""
+    outputs = op_outputs()
+    ops = {name for name, fn in vars(nn).items()
+           if inspect.isfunction(fn) and fn.__module__ == nn.__name__
+           and not name.startswith("_")} - NOT_OPS
+    assert ops <= set(outputs)
+    for name, outs in outputs.items():
+        stack = [out.node for out in outs]
+        assert all(node.backward is not None for node in stack), name
+        while stack:
+            node = stack.pop()
+            assert not holds_tensor(node.backward, set()), name
+            stack.extend(p for p in node.parents if p.backward is not None)
 
 
 def test_composite_conv_relu_pool_grads():

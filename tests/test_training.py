@@ -329,14 +329,14 @@ def test_report_csv_round_trip(tmp_path):
     assert lines[1].split(",")[0] == "1"
 
 
-def tape(loss):
-    """Every tensor the loss was computed from, the loss included."""
-    seen, stack = {}, [loss]
+def tape(root):
+    """Every node the root node was computed from, the root included."""
+    seen, stack = {}, [root]
     while stack:
-        t = stack.pop()
-        if id(t) not in seen:
-            seen[id(t)] = t
-            stack.extend(t._parents)
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node.parents)
     return list(seen.values())
 
 
@@ -352,7 +352,7 @@ def recording(rule, dtypes):
 
 
 @pytest.mark.parametrize("arch", ARCHS)
-def test_float32_training_step_stays_float32(arch):
+def test_float32_training_step_stays_float32(arch, monkeypatch):
     # a float64 input and float64 state anywhere on the tape would widen
     # everything after it; only the loss value itself is float64
     cfg = ModelConfig(arch, (4, 8), tile=16)
@@ -361,25 +361,41 @@ def test_float32_training_step_stays_float32(arch):
     rng = np.random.default_rng(1)
     x = rng.normal(size=(2, 3, 10, 16, 16) if cfg.is_sequence else (2, 10, 16, 16))
     y = rng.choice([-1, 0, 1], size=(2, 16, 16))
+    # the tape holds nodes, not data, so record each op output's dtype as
+    # the forward makes it: id(node) -> (node, dtype), keeping the node so
+    # that its id is not reused
+    made = {}
+    make = nn._make
+
+    def recording_make(data, parents, backward):
+        out = make(data, parents, backward)
+        made[id(out.node)] = (out.node, out.data.dtype)
+        return out
+
+    monkeypatch.setattr(nn, "_make", recording_make)
     logits = model.forward(x)
     assert logits.data.dtype == np.float32
     loss = weighted_bce(logits, y, 3.0)
     assert loss.data.dtype == np.float64
-    nodes = [t for t in tape(loss) if t is not loss]
+    nodes = [node for node in tape(loss.node) if node is not loss.node]
     assert len(nodes) > len(params)
+    ops = [node for node in nodes if node.backward is not None]
+    assert ops
+    for node in ops:
+        assert made[id(node)][1] == np.float32
+    for p in params.values():
+        assert p.data.dtype == np.float32
     # backward releases each interior node's gradient once its rule has
     # run, so record the dtype of the gradient each rule is handed
     dtypes = []
-    for t in nodes:
-        if t._backward is not None:
-            t._backward = recording(t._backward, dtypes)
+    for node in ops:
+        node.backward = recording(node.backward, dtypes)
     nn.backward(loss)
-    assert dtypes
+    assert len(dtypes) == len(ops)
     for dtype in dtypes:
         assert dtype == np.float32
-    for t in nodes:
-        assert t.data.dtype == np.float32
-        assert t.grad is None or t.grad.dtype == np.float32
+    for node in nodes:
+        assert node.grad is None or node.grad.dtype == np.float32
     state = OptimizerState(params)
     adam_step(params, {k: p.grad for k, p in params.items()}, state, TrainConfig())
     for name, p in params.items():
